@@ -126,6 +126,9 @@ struct FleetResult {
   /// `node_result` line per node, all with deterministically formatted
   /// numbers -- two runs are bit-identical iff these strings match.
   [[nodiscard]] std::string to_jsonl() const;
+
+  /// The `fleet_rollup` line alone (the first line of to_jsonl()).
+  [[nodiscard]] std::string header_jsonl() const;
 };
 
 /// Which tick path simulates each shard. Both produce byte-identical

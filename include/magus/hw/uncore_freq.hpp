@@ -7,8 +7,10 @@
 // only rewrites the MAX_RATIO field, leaving MIN_RATIO and reserved bits
 // intact (paper section 4).
 
+#include <algorithm>
 #include <vector>
 
+#include "magus/common/units.hpp"
 #include "magus/hw/msr.hpp"
 
 namespace magus::telemetry {
@@ -31,9 +33,14 @@ class UncoreFreqLadder {
   /// Number of distinct ratio steps (inclusive range).
   [[nodiscard]] unsigned steps() const noexcept { return max_ratio_ - min_ratio_ + 1; }
 
-  /// Clamp + quantise an arbitrary GHz request onto the ladder.
-  [[nodiscard]] double clamp_ghz(double ghz) const noexcept;
-  [[nodiscard]] unsigned clamp_ratio(unsigned ratio) const noexcept;
+  /// Clamp + quantise an arbitrary GHz request onto the ladder. Inline: the
+  /// simulator's tick kernel clamps every socket's firmware cap every tick.
+  [[nodiscard]] double clamp_ghz(double ghz) const noexcept {
+    return common::ratio_to_ghz(clamp_ratio(common::ghz_to_ratio(ghz)));
+  }
+  [[nodiscard]] unsigned clamp_ratio(unsigned ratio) const noexcept {
+    return std::clamp(ratio, min_ratio_, max_ratio_);
+  }
 
   /// One ratio step down/up from `ghz`, saturating at the ladder bounds.
   [[nodiscard]] double step_down(double ghz) const noexcept;

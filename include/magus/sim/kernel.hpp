@@ -15,6 +15,13 @@
 // order the original model classes used -- reassociating a sum or hoisting a
 // multiply changes bit patterns and breaks the goldens.
 //
+// Hoist or memoize a value only when its inputs are bit-identical: the same
+// IEEE-754 operation on the same operands gives the same bits, so reusing
+// the result is exact. The governor alphas (1 - exp(-dt/tau)) are memoized
+// on dt and the GPU boost curve (pow(util, 0.7)) on util, both in the lane's
+// own state, so a lane ticking at its fixed tick_s pays each exp once and a
+// steady phase pays the pow once; any other dt or util recomputes.
+//
 // Functions here are contract-free on purpose: the wrapper classes
 // (UncoreModel, FirmwareGovernor, ...) keep their MAGUS_EXPECT/ENSURE
 // checks at the API boundary, so the kernel stays branch-lean for the
@@ -22,6 +29,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "magus/common/rng.hpp"
 #include "magus/hw/uncore_freq.hpp"
@@ -83,16 +91,26 @@ struct FirmwareState {
   double hold_s = 0.0;  ///< dwell before raising the cap back up
 };
 
+/// A memoized f(x): `value` holds f(`arg`). NaN never compares equal, so the
+/// first lookup always computes.
+struct Memo {
+  double arg = std::numeric_limits<double>::quiet_NaN();
+  double value = 0.0;
+};
+
 struct CoreState {
   double freq_ghz = 0.0;
   double cycles = 0.0;        ///< per-core cumulative unhalted cycles
   double instructions = 0.0;  ///< per-core cumulative retired instructions
+  Memo alpha;                 ///< governor alpha on dt
 };
 
 struct GpuState {
   double clock_ghz = 0.0;
   double power_w = 0.0;  ///< all boards summed
   double energy_j = 0.0;
+  Memo alpha;  ///< governor alpha on dt
+  Memo boost;  ///< boost curve pow(util, 0.7) on the clamped util
 };
 
 // --- precomputed per-system parameters -------------------------------------
@@ -197,15 +215,38 @@ struct NodeParams {
 }
 
 [[nodiscard]] inline CoreState init_core(const CoreParams& p) {
-  return {p.min_ghz, 0.0, 0.0};
+  CoreState st;
+  st.freq_ghz = p.min_ghz;
+  return st;
 }
 
 [[nodiscard]] inline GpuState init_gpu(const GpuParams& p) {
-  return {p.base_clock_ghz, p.idle_w * p.count, 0.0};
+  GpuState st;
+  st.clock_ghz = p.base_clock_ghz;
+  st.power_w = p.idle_w * p.count;
+  return st;
 }
 
 // magus:hot-path-begin
 // --- per-subsystem step functions ------------------------------------------
+
+/// Governor smoothing factor 1 - exp(-dt / tau), memoized on dt.
+inline double governor_alpha(Memo& m, double dt, double tau) {
+  if (dt != m.arg) {
+    m.arg = dt;
+    m.value = 1.0 - std::exp(-dt / tau);
+  }
+  return m.value;
+}
+
+/// SM clock boost curve pow(util, 0.7), memoized on util.
+inline double gpu_boost(Memo& m, double util) {
+  if (util != m.arg) {
+    m.arg = util;
+    m.value = std::pow(util, 0.7);
+  }
+  return m.value;
+}
 
 /// Stock TDP-coupled firmware behaviour; returns the (unclamped) cap.
 inline double firmware_update(FirmwareState& st, const FirmwareParams& p, double dt,
@@ -267,7 +308,7 @@ inline void core_tick(CoreState& st, const CoreParams& p, double dt, double util
   // Stock DVFS: frequency follows load, saturating toward max under load.
   const double target =
       std::min(p.max_ghz, p.min_ghz + (p.max_ghz - p.min_ghz) * util * 1.4);
-  const double alpha = 1.0 - std::exp(-dt / kCoreGovernorTau);
+  const double alpha = governor_alpha(st.alpha, dt, kCoreGovernorTau);
   st.freq_ghz += (target - st.freq_ghz) * alpha;
 
   // Fixed counters advance only while cores are unhalted.
@@ -289,8 +330,8 @@ inline void gpu_tick(GpuState& st, const GpuParams& p, double dt, double util_ef
   const double util = std::clamp(util_effective, 0.0, 1.0);
   // SM clock boosts with load (sub-linear: boost bins saturate early).
   const double target =
-      p.base_clock_ghz + (p.max_clock_ghz - p.base_clock_ghz) * std::pow(util, 0.7);
-  const double alpha = 1.0 - std::exp(-dt / kGpuGovernorTau);
+      p.base_clock_ghz + (p.max_clock_ghz - p.base_clock_ghz) * gpu_boost(st.boost, util);
+  const double alpha = governor_alpha(st.alpha, dt, kGpuGovernorTau);
   st.clock_ghz += (target - st.clock_ghz) * alpha;
 
   const double clock_frac = st.clock_ghz / p.max_clock_ghz;

@@ -543,10 +543,10 @@ FleetResult FleetRunner::run() {
   return fleet;
 }
 
-std::string FleetResult::to_jsonl() const {
-  // magus:rollup-begin -- serialization region: iteration order here IS the
-  // byte-identity contract, so only ordered containers may be walked.
-  const bool budgeted = power_budget_w > 0.0;
+std::string FleetResult::header_jsonl() const {
+  // magus:rollup-begin -- serialization region (through to_jsonl below):
+  // iteration order here IS the byte-identity contract, so only ordered
+  // containers may be walked.
   telemetry::Event head(0.0, "fleet_rollup");
   head.str("seed", std::to_string(seed))
       .num("nodes", static_cast<double>(nodes_total))
@@ -559,10 +559,14 @@ std::string FleetResult::to_jsonl() const {
       .num("slowdown_p99_pct", slowdown_p99_pct);
   // Budget fields and budget_rollup lines appear only on budgeted fleets, so
   // an unbudgeted run's dump is byte-identical to the pre-budget format.
-  if (budgeted) {
+  if (power_budget_w > 0.0) {
     head.num("power_budget_w", power_budget_w).num("budget_epoch_s", budget_epoch_s);
   }
-  std::string out = head.to_json() + "\n";
+  return head.to_json() + "\n";
+}
+
+std::string FleetResult::to_jsonl() const {
+  std::string out = header_jsonl();
   for (const PolicyRollup& roll : per_policy) {
     out += telemetry::Event(0.0, "policy_rollup")
                .str("policy", roll.policy)

@@ -1,6 +1,5 @@
 #include "magus/hw/uncore_freq.hpp"
 
-#include <algorithm>
 
 #include "magus/common/error.hpp"
 #include "magus/common/units.hpp"
@@ -17,14 +16,6 @@ UncoreFreqLadder::UncoreFreqLadder(double min_ghz, double max_ghz)
 
 double UncoreFreqLadder::min_ghz() const noexcept { return common::ratio_to_ghz(min_ratio_); }
 double UncoreFreqLadder::max_ghz() const noexcept { return common::ratio_to_ghz(max_ratio_); }
-
-double UncoreFreqLadder::clamp_ghz(double ghz) const noexcept {
-  return common::ratio_to_ghz(clamp_ratio(common::ghz_to_ratio(ghz)));
-}
-
-unsigned UncoreFreqLadder::clamp_ratio(unsigned ratio) const noexcept {
-  return std::clamp(ratio, min_ratio_, max_ratio_);
-}
 
 double UncoreFreqLadder::step_down(double ghz) const noexcept {
   const unsigned r = clamp_ratio(common::ghz_to_ratio(ghz));

@@ -1,9 +1,9 @@
 #include "magus/telemetry/registry.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <iomanip>
 #include <limits>
-#include <sstream>
+#include <system_error>
 
 #include "magus/common/error.hpp"
 
@@ -41,19 +41,29 @@ const char* kind_name(int kind) noexcept {
 std::string format_double(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0.0 ? "+Inf" : "-Inf";
-  std::string out;
-  for (int prec = 1; prec <= std::numeric_limits<double>::max_digits10; ++prec) {
-    std::ostringstream os;
-    os << std::setprecision(prec) << v;
-    out = os.str();
-    try {
-      if (std::stod(out) == v) return out;
-    } catch (const std::exception&) {
-      // Subnormal parse-back can overflow/underflow strtod; fall through to
-      // the next precision (the max_digits10 form is returned regardless).
-    }
+  constexpr int kMaxDigits = std::numeric_limits<double>::max_digits10;
+  // %.17g of a double needs at most 24 chars ("-d.dddddddddddddddde-308").
+  char buf[32] = {};
+  const auto general = [&](int prec) {
+    return std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, prec).ptr;
+  };
+  // Subnormals always take the max_digits10 form: the wire format was fixed
+  // by a strtod round-trip check, and strtod flags ERANGE on every subnormal
+  // parse-back, so that check never accepted a shorter string.
+  if (std::fpclassify(v) == FP_SUBNORMAL) return {buf, general(kMaxDigits)};
+  // No %.{p}g string shorter than the shortest round-trip digit count can
+  // parse back to v, so start there; the correctly rounded p-digit string
+  // can still miss at a binade edge, hence the loop.
+  char* end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific).ptr;
+  int prec = 0;
+  for (const char* c = buf; c != end && *c != 'e'; ++c) prec += (*c >= '0' && *c <= '9');
+  for (; prec < kMaxDigits; ++prec) {
+    end = general(prec);
+    double back = 0.0;
+    const auto parsed = std::from_chars(buf, end, back);
+    if (parsed.ec == std::errc() && back == v) return {buf, end};
   }
-  return out;
+  return {buf, general(kMaxDigits)};
 }
 
 Histogram::Histogram(std::vector<double> upper_bounds)

@@ -101,6 +101,33 @@ TEST(FixedWindow, IterationIsOldestToNewest) {
   for (int v : w) EXPECT_EQ(v, expect++);
 }
 
+TEST(FixedWindow, SumAddsOldestToNewestAfterWrap) {
+  // Window [1e16, 1, -1e16] sits in the ring as [-1e16, 1e16, 1]. Summed
+  // oldest first, the 1 is absorbed by 1e16 (ulp 2) and the total is 0;
+  // summed in storage order it would survive as 1.
+  mc::FixedWindow<double> w(3);
+  for (double v : {5.0, 1e16, 1.0, -1e16}) w.push(v);
+  EXPECT_EQ(w.oldest(), 1e16);
+  EXPECT_EQ(w.newest(), -1e16);
+  EXPECT_EQ(w.sum(), 0.0);
+}
+
+TEST(FixedWindow, ClearAndFillResetTheRingOffset) {
+  mc::FixedWindow<int> w(3);
+  for (int i = 1; i <= 4; ++i) w.push(i);
+  w.clear();
+  w.push(7);
+  w.push(8);
+  EXPECT_EQ(w.oldest(), 7);
+  EXPECT_EQ(w[1], 8);
+  for (int i = 1; i <= 5; ++i) w.push(i);
+  w.fill(0);
+  w.push(9);
+  EXPECT_EQ(w[0], 0);
+  EXPECT_EQ(w.newest(), 9);
+  EXPECT_EQ(w.sum(), 9);
+}
+
 // Property: after pushing N >= capacity values 0..N-1, the window holds
 // exactly the last `capacity` values in order.
 class FixedWindowSlide : public ::testing::TestWithParam<std::tuple<int, int>> {};

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "magus/sim/node.hpp"
 
 namespace ms = magus::sim;
@@ -100,4 +103,34 @@ TEST(NodeModel, PerSocketEnergySymmetricWithoutMonitor) {
   auto node = make_node();
   for (int i = 0; i < 200; ++i) node.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
   EXPECT_NEAR(node.pkg_energy_j(0), node.pkg_energy_j(1), 1e-9);
+}
+
+TEST(NodeModel, GovernorsFollowClosedFormAtAnyDt) {
+  // The kernel memoizes each governor's 1 - exp(-dt / tau) on dt and the GPU
+  // boost pow(util, 0.7) on util. A dt other than the engine's tick_s (0.002)
+  // or a new util must recompute: every step matches the closed form.
+  const ms::SystemSpec spec = ms::intel_a100();
+  auto node = make_node();
+  double t = 0.0;
+  int step = 0;
+  for (double dt : {0.002, 0.002, 0.0037, 0.002, 0.01, 0.01, 0.00025, 0.002}) {
+    const ms::WorkSlice slice = (step++ % 3 == 0) ? heavy_slice() : quiet_slice();
+    const double f0 = node.cores().freq_ghz();
+    const double c0 = node.gpu().clock_ghz();
+    t += dt;
+    node.tick(mc::Seconds(t), dt, slice, 0.0);
+
+    const double span = spec.cpu.core_max_ghz - spec.cpu.core_min_ghz;
+    const double core_target =
+        std::min(spec.cpu.core_max_ghz, spec.cpu.core_min_ghz + span * slice.cpu_util * 1.4);
+    const double core_alpha = 1.0 - std::exp(-dt / ms::kern::kCoreGovernorTau);
+    EXPECT_EQ(node.cores().freq_ghz(), f0 + (core_target - f0) * core_alpha) << "dt=" << dt;
+
+    const double util = std::clamp(slice.gpu_util / node.last().stretch, 0.0, 1.0);
+    const double boost = std::pow(util, 0.7);
+    const double gpu_target =
+        spec.gpu.base_clock_ghz + (spec.gpu.max_clock_ghz - spec.gpu.base_clock_ghz) * boost;
+    const double gpu_alpha = 1.0 - std::exp(-dt / ms::kern::kGpuGovernorTau);
+    EXPECT_EQ(node.gpu().clock_ghz(), c0 + (gpu_target - c0) * gpu_alpha) << "dt=" << dt;
+  }
 }

@@ -91,7 +91,9 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv) {
     }
     const std::string key = argv[i] + 2;
     if (key == "simulate" || key == "dry-run" || key == "fleet") {
-      flags[key] = "1";
+      // Move-assign a temporary: GCC 12 at -O3 misreports the const char*
+      // assignment here as an overlapping memcpy (-Werror=restrict).
+      flags[key] = std::string("1");
     } else if (i + 1 < argc) {
       flags[key] = argv[++i];
     } else {
@@ -380,11 +382,12 @@ class FleetService {
           active_ = &runner;
         }
         const fleet::FleetResult result = runner.run();
+        std::string rollup = result.header_jsonl();
         const common::LockGuard lock(mutex_);
         active_ = nullptr;
         state_ = "done";
         nodes_completed_ = result.nodes_total;
-        last_rollup_ = result.to_jsonl().substr(0, result.to_jsonl().find('\n') + 1);
+        last_rollup_ = std::move(rollup);
         telemetry::inc(m_jobs_completed_);
       } catch (const std::exception& e) {
         const common::LockGuard lock(mutex_);
