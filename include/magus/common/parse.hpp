@@ -1,9 +1,15 @@
 #pragma once
-// Strict string -> value parsers for CLI flag values. The std::sto* family
-// accepts trailing garbage and throws bare std::invalid_argument; these
-// helpers reject both and throw ConfigError naming the offending token.
+// Strict string -> value parsers for external input (CLI flags, manifest
+// fields). The std::sto* family skips leading whitespace, accepts signs and
+// trailing garbage, and throws bare std::invalid_argument/out_of_range;
+// these helpers reject all of that and throw ConfigError naming the
+// offending token.
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "magus/common/error.hpp"
@@ -43,6 +49,43 @@ inline std::vector<int> parse_int_list(const std::string& s) {
     start = comma + 1;
   }
   return out;
+}
+
+/// Parse a base-10 unsigned 64-bit integer: digits only (no sign, no
+/// whitespace), no overflow.
+inline std::uint64_t parse_u64(const std::string& tok) {
+  std::uint64_t v = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (tok.empty() || ec != std::errc() || ptr != end) {
+    throw ConfigError("invalid unsigned 64-bit integer '" + tok + "'");
+  }
+  return v;
+}
+
+/// Parse a finite decimal number ("1.5", "-2", "3e2"), rejecting empty
+/// input, leading whitespace, trailing characters, NaN, infinities, and
+/// values that overflow a double.
+inline double parse_finite_double(const std::string& tok) {
+  double v = 0.0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (tok.empty() || ec != std::errc() || ptr != end || !std::isfinite(v)) {
+    throw ConfigError("invalid finite number '" + tok + "'");
+  }
+  return v;
+}
+
+/// Parse a number that must be an integer in [lo, hi]. Accepts any
+/// spelling parse_finite_double does ("16", "1.6e1"), so integers written
+/// through a JSON number formatter read back.
+inline int parse_int_in_range(const std::string& tok, int lo, int hi) {
+  const double v = parse_finite_double(tok);
+  if (v != std::trunc(v) || v < lo || v > hi) {
+    throw ConfigError("'" + tok + "' is not an integer in [" + std::to_string(lo) + ", " +
+                      std::to_string(hi) + "]");
+  }
+  return static_cast<int>(v);
 }
 
 }  // namespace magus::common

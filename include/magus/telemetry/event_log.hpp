@@ -70,8 +70,8 @@ class EventLog {
 
 /// Minimal parser for EventLog output: a flat JSON object with string,
 /// number, or bool values. Returns key -> value map with string values
-/// unescaped and numbers/bools as their literal text. Throws common::Error
-/// on malformed input.
+/// unescaped and numbers/bools as their literal text. Throws
+/// common::ConfigError on malformed input.
 [[nodiscard]] std::map<std::string, std::string> parse_event_line(const std::string& line);
 
 }  // namespace magus::telemetry

@@ -2,10 +2,12 @@
 
 #include <cstddef>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
 #include "magus/common/error.hpp"
+#include "magus/common/parse.hpp"
 #include "magus/core/policy_factory.hpp"
 #include "magus/exp/experiment_config.hpp"
 #include "magus/sim/kernel.hpp"
@@ -195,35 +197,57 @@ FleetManifest FleetManifest::from_jsonl(const std::string& text) {
       const auto it = fields.find(key);
       return it == fields.end() ? fallback : it->second;
     };
+    // Every numeric field goes through one checked parser; a bad value is a
+    // ConfigError naming the line and the field.
+    auto checked = [&](const char* key, const std::string& value, auto parse) {
+      try {
+        return parse(value);
+      } catch (const common::ConfigError& e) {
+        throw common::ConfigError("fleet manifest line " + std::to_string(line_no) +
+                                  ": field '" + key + "': " + e.what());
+      }
+    };
+    auto u64 = [&](const char* key, const std::string& value) {
+      return checked(key, value, common::parse_u64);
+    };
+    auto real = [&](const char* key, const std::string& value) {
+      return checked(key, value, common::parse_finite_double);
+    };
+    auto integer = [&](const char* key, const std::string& value) {
+      return checked(key, value, [](const std::string& v) {
+        return common::parse_int_in_range(v, std::numeric_limits<int>::min(),
+                                          std::numeric_limits<int>::max());
+      });
+    };
     const std::string& type = field("type");
     if (type == "fleet_manifest") {
       saw_header = true;
-      manifest.seed(std::stoull(field("seed")));
-      manifest.shard_size(static_cast<int>(std::stod(field("shard_size"))));
+      manifest.seed(u64("seed", field("seed")));
+      manifest.shard_size(integer("shard_size", field("shard_size")));
       wl::JitterConfig jitter;
-      jitter.duration_rel = std::stod(field("jitter_duration_rel"));
-      jitter.demand_rel = std::stod(field("jitter_demand_rel"));
+      jitter.duration_rel = real("jitter_duration_rel", field("jitter_duration_rel"));
+      jitter.demand_rel = real("jitter_demand_rel", field("jitter_demand_rel"));
       manifest.jitter(jitter);
-      manifest.fault_rate(std::stod(field_or("fault_rate", "0")));
-      manifest.fault_seed(std::stoull(field_or("fault_seed", "0")));
+      manifest.fault_rate(real("fault_rate", field_or("fault_rate", "0")));
+      manifest.fault_seed(u64("fault_seed", field_or("fault_seed", "0")));
       // Budget fields postdate v1: an old manifest is an unbudgeted fleet.
-      manifest.power_budget_w(std::stod(field_or("power_budget_w", "0")));
-      manifest.budget_epoch_s(std::stod(field_or("budget_epoch_s", "1")));
+      manifest.power_budget_w(real("power_budget_w", field_or("power_budget_w", "0")));
+      manifest.budget_epoch_s(real("budget_epoch_s", field_or("budget_epoch_s", "1")));
     } else if (type == "fleet_node") {
       NodeSpec node;
       node.name(field("name"))
           .system(field("system"))
           .app(field("app"))
           .policy(field("policy"))
-          .gpus(static_cast<int>(std::stod(field("gpus"))))
-          .static_uncore(common::Ghz(std::stod(field("static_uncore_ghz"))))
+          .gpus(integer("gpus", field("gpus")))
+          .static_uncore(common::Ghz(real("static_uncore_ghz", field("static_uncore_ghz"))))
           // Domain fields postdate the v1 node lines: an old manifest is a
           // fleet of single-domain, skew-free nodes.
-          .dies(static_cast<int>(std::stod(field_or("dies", "1"))))
-          .numa_skew(std::stod(field_or("numa_skew", "0")))
+          .dies(integer("dies", field_or("dies", "1")))
+          .numa_skew(real("numa_skew", field_or("numa_skew", "0")))
           // A v1 node line is an uncapped node.
-          .power_cap_w(std::stod(field_or("power_cap_w", "0")))
-          .count(static_cast<int>(std::stod(field("count"))));
+          .power_cap_w(real("power_cap_w", field_or("power_cap_w", "0")))
+          .count(integer("count", field("count")));
       manifest.add_node(std::move(node));
     } else {
       throw common::ConfigError("fleet manifest line " + std::to_string(line_no) +

@@ -67,3 +67,28 @@ TEST(Parse, ParseIntListIntLimits) {
 TEST(Parse, ParseIntListLongLists) {
   EXPECT_EQ(mc::parse_int_list("1,-2,3,-4,5"), (std::vector<int>{1, -2, 3, -4, 5}));
 }
+
+TEST(Parse, ParseU64IsDigitsOnly) {
+  EXPECT_EQ(mc::parse_u64("0"), 0u);
+  EXPECT_EQ(mc::parse_u64("18446744073709551615"), 18446744073709551615ull);
+  for (const char* bad : {"", "abc", "-1", "+1", " 1", "1 ", "12x", "18446744073709551616"}) {
+    EXPECT_THROW((void)mc::parse_u64(bad), mc::ConfigError) << bad;
+  }
+}
+
+TEST(Parse, ParseFiniteDoubleRejectsNonFinite) {
+  EXPECT_EQ(mc::parse_finite_double("1.5"), 1.5);
+  EXPECT_EQ(mc::parse_finite_double("-2e3"), -2000.0);
+  for (const char* bad : {"", "x", "1.5x", " 1", "nan", "inf", "-inf", "1e400"}) {
+    EXPECT_THROW((void)mc::parse_finite_double(bad), mc::ConfigError) << bad;
+  }
+}
+
+TEST(Parse, ParseIntInRangeChecksIntegralAndBounds) {
+  EXPECT_EQ(mc::parse_int_in_range("16", 1, 64), 16);
+  EXPECT_EQ(mc::parse_int_in_range("1.6e1", 1, 64), 16);
+  EXPECT_EQ(mc::parse_int_in_range("-3", -5, 5), -3);
+  for (const char* bad : {"0", "65", "2.5", "1e300", "-1e300", "nan", ""}) {
+    EXPECT_THROW((void)mc::parse_int_in_range(bad, 1, 64), mc::ConfigError) << bad;
+  }
+}
