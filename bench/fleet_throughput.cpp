@@ -1,22 +1,17 @@
-// fleet_throughput: the perf-trajectory benchmark for the batched fleet path.
+// fleet_throughput: the perf-trajectory benchmark for the fleet path.
 //
-// Measures fleet simulation throughput (nodes/sec, simulation ticks/sec) for
-// both FleetRunner engines on a synthetic fleet, plus the p99 control-loop
-// latency (a node's average monitoring invocation, in simulated seconds), the
-// wall-clock overhead of attaching fleet telemetry, and the throughput of a
-// power-budgeted fleet (the water-filling allocator plus cap-aware policies
-// on the batch path). Before timing anything it verifies the oracle contract
-// -- batch and per-node rollups byte-identical, with and without fault
-// injection, and again with an active fleet power budget -- and exits nonzero
-// on divergence, so CI publishing the numbers also guards the semantics.
+// Measures fleet simulation throughput (nodes/sec, simulation ticks/sec) on
+// a synthetic fleet, plus the p99 control-loop latency (a node's average
+// monitoring invocation, in simulated seconds), the wall-clock overhead of
+// attaching fleet telemetry, and the throughput of a power-budgeted fleet
+// (the water-filling allocator plus cap-aware policies). Output semantics
+// are pinned elsewhere: the rollup goldens in tests/fleet/golden/.
 //
-// Output: a human table plus BENCH_fleet.json (schema magus.bench.fleet.v3,
-// which names each engine, records the max per-node uncore-domain count, and
-// carries a `budgeted` section for the allocator path) in MAGUS_BENCH_OUT
-// (default ./bench_out). Node counts scale with MAGUS_BENCH_FLEET_NODES
-// (batch fleet; default 10000) and MAGUS_BENCH_FLEET_PERNODE (per-node
-// sample; default 256) so CI can trade runtime for resolution without a
-// rebuild.
+// Output: a human table plus BENCH_fleet.json (schema magus.bench.fleet.v4,
+// which records the max per-node uncore-domain count and carries a
+// `budgeted` section for the allocator path) in MAGUS_BENCH_OUT (default
+// ./bench_out). The node count scales with MAGUS_BENCH_FLEET_NODES (default
+// 10000) so CI can trade runtime for resolution without a rebuild.
 
 #include <algorithm>
 #include <chrono>
@@ -55,19 +50,6 @@ struct Timing {
   int domains_max = 0;  ///< largest per-node uncore-domain count in the fleet
 };
 
-/// The synthetic fleet with every node reshaped to `dies` uncore dies per
-/// socket (dies == 1 leaves the manifest untouched).
-fleet::FleetManifest synth_fleet_dies(int nodes, std::uint64_t seed, int dies) {
-  fleet::FleetManifest manifest = fleet::synth_fleet(nodes, seed);
-  if (dies == 1) return manifest;
-  fleet::FleetManifest reshaped;
-  reshaped.seed(manifest.seed()).shard_size(manifest.shard_size());
-  for (fleet::NodeSpec node : manifest.nodes()) {
-    reshaped.add_node(std::move(node.dies(dies)));
-  }
-  return reshaped;
-}
-
 /// The synthetic fleet under a global power budget tight enough that the
 /// allocator genuinely clips: every node runs a cap-aware comparator policy
 /// so the caps feed real control loops, not no-ops.
@@ -82,10 +64,9 @@ fleet::FleetManifest synth_budget_fleet(int nodes, std::uint64_t seed) {
   return manifest;
 }
 
-Timing time_manifest(fleet::FleetManifest manifest, fleet::FleetEngine engine,
-                     telemetry::MetricsRegistry* registry, telemetry::EventLog* events) {
+Timing time_manifest(fleet::FleetManifest manifest, telemetry::MetricsRegistry* registry,
+                     telemetry::EventLog* events) {
   fleet::FleetRunner runner(std::move(manifest));
-  runner.set_engine(engine);
   if (registry) runner.attach_telemetry(*registry, events);
 
   const auto start = std::chrono::steady_clock::now();
@@ -110,45 +91,9 @@ Timing time_manifest(fleet::FleetManifest manifest, fleet::FleetEngine engine,
   return t;
 }
 
-Timing time_fleet(int nodes, std::uint64_t seed, fleet::FleetEngine engine,
-                  telemetry::MetricsRegistry* registry, telemetry::EventLog* events) {
-  return time_manifest(fleet::synth_fleet(nodes, seed), engine, registry, events);
-}
-
-/// The oracle gate: batch must reproduce per-node rollups byte-for-byte,
-/// including the per-domain rollups of a multi-die fleet.
-bool rollups_match(int nodes, std::uint64_t seed, double fault_rate, int dies) {
-  fleet::FleetManifest manifest = synth_fleet_dies(nodes, seed, dies);
-  manifest.fault_rate(fault_rate).fault_seed(seed + 1);
-
-  fleet::FleetRunner per_node(manifest);
-  fleet::FleetRunner batch(manifest);
-  batch.set_engine(fleet::FleetEngine::kBatch);
-  const std::string a = per_node.run().to_jsonl();
-  const std::string b = batch.run().to_jsonl();
-  if (a == b) return true;
-  std::cerr << "FAIL: batch rollup diverges from per-node (nodes=" << nodes
-            << " seed=" << seed << " fault_rate=" << fault_rate << " dies=" << dies
-            << ")\n";
-  return false;
-}
-
-/// The budgeted oracle gate: with the water-filling allocator active and
-/// every node on a cap-aware policy, batch must still reproduce per-node
-/// rollups byte-for-byte (budget epochs, caps, and all).
-bool budget_rollups_match(int nodes, std::uint64_t seed, double fault_rate) {
-  fleet::FleetManifest manifest = synth_budget_fleet(nodes, seed);
-  manifest.fault_rate(fault_rate).fault_seed(seed + 1);
-
-  fleet::FleetRunner per_node(manifest);
-  fleet::FleetRunner batch(manifest);
-  batch.set_engine(fleet::FleetEngine::kBatch);
-  const std::string a = per_node.run().to_jsonl();
-  const std::string b = batch.run().to_jsonl();
-  if (a == b) return true;
-  std::cerr << "FAIL: budgeted batch rollup diverges from per-node (nodes=" << nodes
-            << " seed=" << seed << " fault_rate=" << fault_rate << ")\n";
-  return false;
+Timing time_fleet(int nodes, std::uint64_t seed, telemetry::MetricsRegistry* registry,
+                  telemetry::EventLog* events) {
+  return time_manifest(fleet::synth_fleet(nodes, seed), registry, events);
 }
 
 std::string json_num(double v) {
@@ -161,98 +106,48 @@ std::string json_num(double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int batch_nodes =
+  const int nodes =
       argc > 1 ? std::atoi(argv[1]) : env_nodes("MAGUS_BENCH_FLEET_NODES", 10000);
-  const int per_node_nodes =
-      std::min(batch_nodes, env_nodes("MAGUS_BENCH_FLEET_PERNODE", 256));
   const std::uint64_t seed = 2025;
 
-  bench::banner("fleet_throughput: batched SoA kernel vs per-node oracle",
-                "perf trajectory (not a paper figure); oracle gate for magus::fleet");
+  bench::banner("fleet_throughput: fleet simulation throughput",
+                "perf trajectory (not a paper figure)");
 
-  // 1. Semantics gate. A fast fleet that disagrees with the oracle is a bug,
-  //    not a result; refuse to publish numbers for it.
-  std::cout << "oracle gate: comparing rollups (fault rates 0 and 0.05, dies 1 and 4)...\n";
-  const bool clean_ok = rollups_match(64, seed, 0.0, 1);
-  const bool faulty_ok = rollups_match(64, seed, 0.05, 1);
-  const bool multi_die_ok = rollups_match(64, seed, 0.0, 4);
-  const bool multi_die_faulty_ok = rollups_match(64, seed, 0.05, 4);
-  if (!clean_ok || !faulty_ok || !multi_die_ok || !multi_die_faulty_ok) return 1;
-  std::cout << "oracle gate: byte-identical\n";
+  std::cout << "timing fleet on " << nodes << " nodes...\n";
+  const Timing batch = time_fleet(nodes, seed, nullptr, nullptr);
+  std::cout << "timing budgeted fleet on " << nodes << " nodes...\n";
+  const Timing budgeted = time_manifest(synth_budget_fleet(nodes, seed), nullptr, nullptr);
 
-  std::cout << "budget oracle gate: comparing budgeted rollups (fault rates 0 and 0.05)...\n";
-  const bool budget_ok = budget_rollups_match(64, seed, 0.0);
-  const bool budget_faulty_ok = budget_rollups_match(64, seed, 0.05);
-  if (!budget_ok || !budget_faulty_ok) return 1;
-  std::cout << "budget oracle gate: byte-identical\n\n";
-
-  // 2. Throughput. The per-node engine runs a subsample (it is the slow
-  //    path); the batch engine runs the full fleet.
-  std::cout << "timing per-node engine on " << per_node_nodes << " nodes...\n";
-  const Timing per_node =
-      time_fleet(per_node_nodes, seed, fleet::FleetEngine::kPerNode, nullptr, nullptr);
-  std::cout << "timing batch engine on " << batch_nodes << " nodes...\n";
-  const Timing batch =
-      time_fleet(batch_nodes, seed, fleet::FleetEngine::kBatch, nullptr, nullptr);
-  std::cout << "timing budgeted batch engine on " << batch_nodes << " nodes...\n";
-  const Timing budgeted = time_manifest(synth_budget_fleet(batch_nodes, seed),
-                                        fleet::FleetEngine::kBatch, nullptr, nullptr);
-
-  // 3. Telemetry cost. Progress gauges and per-node events must stay off the
-  //    tick path; re-run the batch fleet with telemetry attached.
+  // Telemetry cost. Progress gauges and per-node events must stay off the
+  // tick path; re-run the fleet with telemetry attached.
   telemetry::MetricsRegistry registry;
   telemetry::EventLog events;
-  const Timing with_telemetry =
-      time_fleet(batch_nodes, seed, fleet::FleetEngine::kBatch, &registry, &events);
+  const Timing with_telemetry = time_fleet(nodes, seed, &registry, &events);
   const double telemetry_overhead_pct =
       batch.wall_s > 0.0 ? 100.0 * (with_telemetry.wall_s / batch.wall_s - 1.0) : 0.0;
-
-  const double speedup =
-      per_node.nodes_per_sec > 0.0 ? batch.nodes_per_sec / per_node.nodes_per_sec : 0.0;
   const double budget_overhead_pct =
       batch.wall_s > 0.0 ? 100.0 * (budgeted.wall_s / batch.wall_s - 1.0) : 0.0;
 
   common::TextTable table(
-      {"engine", "nodes", "wall (s)", "nodes/s", "ticks/s", "p99 loop lat (s)"});
-  table.add_row({"per-node", std::to_string(per_node.nodes),
-                 common::TextTable::num(per_node.wall_s),
-                 common::TextTable::num(per_node.nodes_per_sec, 1),
-                 common::TextTable::num(per_node.ticks_per_sec, 0),
-                 common::TextTable::num(per_node.p99_latency_s, 6)});
-  table.add_row({"batch", std::to_string(batch.nodes),
-                 common::TextTable::num(batch.wall_s),
-                 common::TextTable::num(batch.nodes_per_sec, 1),
-                 common::TextTable::num(batch.ticks_per_sec, 0),
-                 common::TextTable::num(batch.p99_latency_s, 6)});
-  table.add_row({"batch+budget", std::to_string(budgeted.nodes),
-                 common::TextTable::num(budgeted.wall_s),
-                 common::TextTable::num(budgeted.nodes_per_sec, 1),
-                 common::TextTable::num(budgeted.ticks_per_sec, 0),
-                 common::TextTable::num(budgeted.p99_latency_s, 6)});
+      {"fleet", "nodes", "wall (s)", "nodes/s", "ticks/s", "p99 loop lat (s)"});
+  const auto add_row = [&table](const char* name, const Timing& t) {
+    table.add_row({name, std::to_string(t.nodes), common::TextTable::num(t.wall_s),
+                   common::TextTable::num(t.nodes_per_sec, 1),
+                   common::TextTable::num(t.ticks_per_sec, 0),
+                   common::TextTable::num(t.p99_latency_s, 6)});
+  };
+  add_row("synth", batch);
+  add_row("synth+budget", budgeted);
   table.print(std::cout);
-  std::cout << "\nbatch vs per-node: " << common::TextTable::num(speedup)
-            << "x nodes/sec; telemetry overhead "
-            << common::TextTable::num(telemetry_overhead_pct)
-            << " % of batch wall time; power-budget overhead "
+  std::cout << "\ntelemetry overhead " << common::TextTable::num(telemetry_overhead_pct)
+            << " % of wall time; power-budget overhead "
             << common::TextTable::num(budget_overhead_pct) << " %\n";
 
   const std::string path = bench::out_dir() + "/BENCH_fleet.json";
   std::ofstream os(path);
   os << "{\n"
-     << "  \"schema\": \"magus.bench.fleet.v3\",\n"
-     << "  \"rollup_match\": true,\n"
-     << "  \"budget_rollup_match\": true,\n"
-     << "  \"per_node\": {\n"
-     << "    \"engine\": \"per-node\",\n"
-     << "    \"nodes\": " << per_node.nodes << ",\n"
-     << "    \"domains_per_node_max\": " << per_node.domains_max << ",\n"
-     << "    \"wall_s\": " << json_num(per_node.wall_s) << ",\n"
-     << "    \"nodes_per_sec\": " << json_num(per_node.nodes_per_sec) << ",\n"
-     << "    \"ticks_per_sec\": " << json_num(per_node.ticks_per_sec) << ",\n"
-     << "    \"p99_control_loop_latency_s\": " << json_num(per_node.p99_latency_s) << "\n"
-     << "  },\n"
+     << "  \"schema\": \"magus.bench.fleet.v4\",\n"
      << "  \"batch\": {\n"
-     << "    \"engine\": \"batch\",\n"
      << "    \"nodes\": " << batch.nodes << ",\n"
      << "    \"domains_per_node_max\": " << batch.domains_max << ",\n"
      << "    \"wall_s\": " << json_num(batch.wall_s) << ",\n"
@@ -261,7 +156,6 @@ int main(int argc, char** argv) {
      << "    \"p99_control_loop_latency_s\": " << json_num(batch.p99_latency_s) << "\n"
      << "  },\n"
      << "  \"budgeted\": {\n"
-     << "    \"engine\": \"batch\",\n"
      << "    \"power_budget_w_per_node\": 220,\n"
      << "    \"budget_epoch_s\": 1,\n"
      << "    \"nodes\": " << budgeted.nodes << ",\n"
@@ -271,7 +165,6 @@ int main(int argc, char** argv) {
      << "    \"ticks_per_sec\": " << json_num(budgeted.ticks_per_sec) << ",\n"
      << "    \"p99_control_loop_latency_s\": " << json_num(budgeted.p99_latency_s) << "\n"
      << "  },\n"
-     << "  \"speedup_nodes_per_sec\": " << json_num(speedup) << ",\n"
      << "  \"budget_overhead_pct\": " << json_num(budget_overhead_pct) << ",\n"
      << "  \"telemetry_overhead_pct\": " << json_num(telemetry_overhead_pct) << "\n"
      << "}\n";

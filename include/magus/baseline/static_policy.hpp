@@ -3,8 +3,8 @@
 //
 // DefaultPolicy is the paper's baseline: no runtime at all -- uncore scaling
 // is left to the stock firmware (which only reacts near TDP; the simulator's
-// FirmwareGovernor reproduces that). StaticUncorePolicy pins the uncore once
-// at launch; its min/max instantiations are the two ends of Fig. 2.
+// kern::firmware_update reproduces that). StaticUncorePolicy pins the uncore
+// once at launch; its min/max instantiations are the two ends of Fig. 2.
 
 #include "magus/common/quantity.hpp"
 #include "magus/core/policy.hpp"

@@ -1,12 +1,9 @@
 #pragma once
 // Policy construction by name.
 //
-// The experiment layer used to bind policies through an exp::PolicyKind enum
-// and a switch; every new policy meant editing the enum, the switch, and the
-// CLI spelling table in lockstep. The factory inverts that: each policy
-// registers a maker under its canonical name from its own translation unit,
-// and callers (exp::run_policy, the tools, the fleet layer) construct
-// policies by name. Unknown names fail with a common::ConfigError that lists
+// Each policy registers a maker under its canonical name from its own
+// translation unit, and callers (exp::run_policy, the tools, the fleet layer)
+// construct policies by name. Unknown names fail with a common::ConfigError that lists
 // every registered policy.
 //
 // Self-registration and static archives: a policy's registrar lives in its

@@ -2,22 +2,17 @@
 // Batched experiment wiring: the BatchEngine counterpart of exp::run_policy.
 //
 // A BatchRun collects (system, workload, policy, options) jobs, binds each
-// job's factory-made policy and fault decorators to its batch lane exactly
-// the way run_policy binds them to a SimEngine, then advances every lane
-// through the shared SoA kernel. Per job the output is bit-identical to
-// run_policy on the same inputs (minus traces, which the batch path never
-// records); the fleet determinism tests pin this.
+// job's factory-made policy and fault decorators to its batch lane through
+// exp::bind_policy -- the same function run_policy binds a SimEngine with --
+// then advances every lane through the shared lane storage. Per job the
+// output is bit-identical to run_policy on the same inputs (minus traces,
+// which the batch path never records).
 
 #include <cstddef>
 #include <deque>
-#include <memory>
 #include <string>
 
-#include "magus/core/policy.hpp"
 #include "magus/exp/experiment.hpp"
-#include "magus/fault/injectors.hpp"
-#include "magus/fault/plan.hpp"
-#include "magus/hw/uncore_freq.hpp"
 #include "magus/sim/batch_engine.hpp"
 
 namespace magus::exp {
@@ -57,11 +52,7 @@ class BatchRun {
 
  private:
   struct Job {
-    hw::UncoreFreqLadder ladder;
-    std::unique_ptr<fault::FaultPlan> plan;
-    std::unique_ptr<fault::FaultyMemThroughputCounter> faulty_mem;
-    std::unique_ptr<fault::FaultyMsrDevice> faulty_msr;
-    std::unique_ptr<core::IPolicy> policy;
+    PolicyBinding binding;
     RunOutput out;
   };
 

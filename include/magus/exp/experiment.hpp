@@ -5,6 +5,7 @@
 // only place that binds factory-made policies to the simulator backends;
 // benches and tests go through here so every figure uses identical wiring.
 
+#include <memory>
 #include <string>
 
 #include "magus/baseline/comppow.hpp"
@@ -15,10 +16,13 @@
 #include "magus/baseline/ups.hpp"
 #include "magus/common/quantity.hpp"
 #include "magus/core/config.hpp"
+#include "magus/core/policy.hpp"
 #include "magus/core/power_cap.hpp"
 #include "magus/core/runtime.hpp"
 #include "magus/fault/config.hpp"
 #include "magus/fault/injectors.hpp"
+#include "magus/fault/plan.hpp"
+#include "magus/hw/uncore_freq.hpp"
 #include "magus/sim/engine.hpp"
 #include "magus/sim/system_preset.hpp"
 #include "magus/trace/recorder.hpp"
@@ -67,6 +71,28 @@ struct RunOutput {
   bool policy_degraded = false;
 };
 
+/// A factory-made policy bound to one node's hw backends, with the fault
+/// decorators (when enabled) slotted in between. Holds what the policy's
+/// PolicyContext points at, so it must stay at one address while the policy
+/// runs.
+struct PolicyBinding {
+  hw::UncoreFreqLadder ladder{0.8, 2.2};
+  std::unique_ptr<fault::FaultPlan> plan;
+  std::unique_ptr<fault::FaultyMemThroughputCounter> faulty_mem;
+  std::unique_ptr<fault::FaultyMsrDevice> faulty_msr;
+  std::unique_ptr<core::IPolicy> policy;
+};
+
+/// Construct `policy` by name against `hw` for `system` under `opts` into
+/// `binding` and return the engine hook that drives it. The one wiring path
+/// for both engines: run_policy binds a SimEngine's backends, BatchRun each
+/// lane's. Faults the decorators inject are counted into `faults`. Throws
+/// common::ConfigError for an unknown policy name.
+[[nodiscard]] sim::PolicyHook bind_policy(PolicyBinding& binding, sim::LaneBackends& hw,
+                                          const sim::SystemSpec& system,
+                                          const std::string& policy, const RunOptions& opts,
+                                          fault::FaultStats& faults);
+
 /// Run one workload under one named policy on one system. Policy names are
 /// resolved through core::PolicyFactory::instance(); unknown names throw
 /// common::ConfigError listing every registered policy.
@@ -76,31 +102,5 @@ struct RunOutput {
 
 /// The Table 2 protocol workload: an (almost) idle node for `duration_s`.
 [[nodiscard]] wl::PhaseProgram idle_workload(double duration_s);
-
-// ---------------------------------------------------------------------------
-// Deprecated PolicyKind shim.
-//
-// PolicyKind predates the factory; it survives only so the golden-determinism
-// fixtures keep compiling byte-for-byte. New call sites must pass names (the
-// `naked-policy-kind` lint rule enforces this); the enum is frozen and will
-// be removed once the goldens are regenerated against names.
-
-enum class PolicyKind {
-  kDefault,    ///< stock firmware only (the paper's baseline)
-  kStaticMin,  ///< uncore pinned at ladder min (Fig. 2 right)
-  kStaticMax,  ///< uncore pinned at ladder max (Fig. 2 left)
-  kStatic,     ///< uncore pinned at RunOptions::static_ghz
-  kMagus,      ///< the paper's contribution
-  kUps,        ///< UPScavenger baseline
-  kDuf,        ///< DUF-style bandwidth-utilisation baseline (Andre et al. '22)
-};
-
-/// The factory name a legacy PolicyKind maps to.
-[[nodiscard]] const char* policy_name(PolicyKind kind) noexcept;
-
-/// Deprecated: forwards to the name-based overload via policy_name(kind).
-[[nodiscard]] RunOutput run_policy(const sim::SystemSpec& system,
-                                   const wl::PhaseProgram& workload, PolicyKind kind,
-                                   const RunOptions& opts = {});
 
 }  // namespace magus::exp

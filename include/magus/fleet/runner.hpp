@@ -131,12 +131,10 @@ struct FleetResult {
   [[nodiscard]] std::string header_jsonl() const;
 };
 
-/// Which tick path simulates each shard. Both produce byte-identical
-/// FleetResult::to_jsonl() output; kPerNode (exp::run_policy, one SimEngine
-/// per run) is the oracle, kBatch (exp::BatchRun, struct-of-arrays kernel)
-/// is the throughput path.
+/// The tick path that simulates each shard: there is one, exp::BatchRun.
+/// The enum and FleetRunner::set_engine stay solely so the benchmark harness
+/// under perfbench/ keeps compiling unchanged.
 enum class FleetEngine {
-  kPerNode,
   kBatch,
 };
 
@@ -154,9 +152,8 @@ class FleetRunner {
   void attach_telemetry(telemetry::MetricsRegistry& reg,
                         telemetry::EventLog* events = nullptr);
 
-  /// Select the tick path (default: per-node). Set before run().
-  void set_engine(FleetEngine engine) noexcept { engine_ = engine; }
-  [[nodiscard]] FleetEngine engine() const noexcept { return engine_; }
+  /// No-op: kBatch is the only tick path (kept for perfbench, see FleetEngine).
+  void set_engine(FleetEngine /*engine*/) noexcept {}
 
   /// Simulate the whole fleet. Deterministic for any job count (see file
   /// header). Call at most once per runner.
@@ -170,8 +167,8 @@ class FleetRunner {
   }
 
  private:
-  /// The exact inputs both engines consume for one node; built only from
-  /// (manifest seed, node index) so the two paths cannot diverge.
+  /// The exact inputs a node's runs consume; built only from (manifest seed,
+  /// node index), so any shard layout sees the same inputs.
   struct NodeInputs;
   [[nodiscard]] NodeInputs node_inputs(std::size_t index) const;
 
@@ -183,23 +180,20 @@ class FleetRunner {
   /// --jobs count and shard size.
   void compute_power_caps();
 
-  [[nodiscard]] NodeResult run_node(std::size_t index) const;
-  /// Batched equivalent of run_node over [begin, end): one BatchRun per
-  /// retry round, writing the same NodeResult fields into `results`.
-  void run_shard_batch(std::size_t begin, std::size_t end,
-                       std::vector<NodeResult>& results) const;
+  /// Simulate nodes [begin, end) into `results`: one BatchRun per retry
+  /// round, each node's policy run paired with its default-policy twin.
+  void run_shard(std::size_t begin, std::size_t end, std::vector<NodeResult>& results) const;
 
   // Concurrency model (audited under -Wthread-safety, DESIGN.md §14): the
   // runner holds NO mutex of its own. `completed_` is the only field workers
   // write concurrently — a relaxed atomic progress counter (monotonic count,
   // no ordering to protect). Everything else is init-then-read:
-  // manifest_/expanded_ are fixed by the constructor, engine_ and the
-  // telemetry handles must be set before run() starts (set_engine /
-  // attach_telemetry contracts), after which workers only read them.
+  // manifest_/expanded_ are fixed by the constructor, and the telemetry
+  // handles must be set before run() starts (attach_telemetry contract),
+  // after which workers only read them.
   // Events emitted through events_ are serialized by EventLog's own lock.
   FleetManifest manifest_;
   std::vector<NodeSpec> expanded_;
-  FleetEngine engine_ = FleetEngine::kPerNode;
   std::atomic<std::size_t> completed_{0};
 
   // Budget state: computed once by the constructor (init-then-read, like

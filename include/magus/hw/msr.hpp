@@ -38,7 +38,7 @@ struct UncoreRatioLimit {
   bool operator==(const UncoreRatioLimit&) const = default;
 };
 
-/// Abstract per-socket MSR device. Implementations: SimMsrDevice (simulator)
+/// Abstract per-socket MSR device. Implementations: LaneMsrDevice (simulator)
 /// and LinuxMsrDevice (/dev/cpu/*/msr).
 class IMsrDevice {
  public:

@@ -10,8 +10,8 @@
 // configs keep working unchanged.
 //
 // Implementations: MsrDomainSet (below), SysfsUncoreDomainSet
-// (hw/sysfs_uncore.hpp), SimUncoreDomainSet (sim/backends.hpp) and the
-// batched-lane equivalent (sim/batch_engine.hpp).
+// (hw/sysfs_uncore.hpp) and the simulator's LaneUncoreDomainSet
+// (sim/backends.hpp).
 
 #include <string>
 

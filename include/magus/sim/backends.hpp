@@ -2,13 +2,16 @@
 // Simulator-backed implementations of the hw interfaces.
 //
 // Runtimes (MAGUS, UPS) are written against magus::hw only; binding them to
-// these backends runs them against the simulated node, binding them to the
-// Linux backends runs them against real silicon. The AccessMeter records
-// every counter access so the engine can charge invocation latency and
-// monitor power emergently (Table 2).
+// these backends runs them against a simulated node, binding them to the
+// Linux backends runs them against real silicon. Each backend is a view of
+// one lane of a LaneStore and resolves its state on every call (the store's
+// vectors reallocate while lanes are added, so nothing may cache a pointer
+// into them). Every counter access is recorded in the lane's AccessMeter so
+// the engines can charge invocation latency and monitor power emergently
+// (Table 2).
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "magus/hw/counters.hpp"
 #include "magus/hw/msr.hpp"
@@ -18,64 +21,56 @@
 
 namespace magus::sim {
 
-/// Counts hardware accesses made by a runtime during one invocation.
-struct AccessMeter {
-  unsigned long long msr_reads = 0;
-  unsigned long long msr_writes = 0;
-  unsigned long long pcm_reads = 0;
-
-  void reset() noexcept { *this = AccessMeter{}; }
-};
-
 /// RAPL unit descriptor every simulated node advertises (typical server
-/// values: energy LSB = 1/2^14 J). Shared by the per-node and batch MSR
-/// backends so both encode identical register values.
+/// values: energy LSB = 1/2^14 J).
 [[nodiscard]] const hw::RaplUnits& sim_rapl_units() noexcept;
 
 /// Encode cumulative joules as the wrapping 32-bit energy-status value MSR
 /// 0x611/0x619 would report.
 [[nodiscard]] std::uint64_t sim_energy_status(double joules) noexcept;
 
-/// MSR device over the simulated node. Supports the registers MAGUS and UPS
+/// Shared state of every lane backend: the store and the lane it views.
+class LaneRef {
+ public:
+  LaneRef(LaneStore& store, std::size_t lane) : store_(&store), lane_(lane) {}
+
+ protected:
+  LaneStore* store_;
+  std::size_t lane_;
+};
+
+/// MSR device over a simulated node. Supports the registers MAGUS and UPS
 /// touch; unknown registers throw common::DeviceError like real hardware
 /// faults would surface.
-class SimMsrDevice final : public hw::IMsrDevice {
+class LaneMsrDevice final : public hw::IMsrDevice, LaneRef {
  public:
-  SimMsrDevice(NodeModel& node, AccessMeter& meter);
+  using LaneRef::LaneRef;
 
   [[nodiscard]] int socket_count() const override;
   [[nodiscard]] std::uint64_t read(int socket, std::uint32_t reg) override;
   void write(int socket, std::uint32_t reg, std::uint64_t value) override;
 
  private:
-  NodeModel& node_;
-  AccessMeter& meter_;
-  std::vector<std::uint64_t> raw_0x620_;
+  void check_socket(int socket) const;
 };
 
 /// PCM-style aggregated memory-traffic counter with per-domain resolution
 /// (each domain read is its own PCM sweep for overhead accounting).
-class SimMemThroughputCounter final : public hw::IMemThroughputCounter {
+class LaneMemThroughputCounter final : public hw::IMemThroughputCounter, LaneRef {
  public:
-  SimMemThroughputCounter(NodeModel& node, AccessMeter& meter)
-      : node_(node), meter_(meter) {}
+  using LaneRef::LaneRef;
 
   [[nodiscard]] double total_mb() override;
   [[nodiscard]] int domain_count() override;
   [[nodiscard]] double domain_mb(int domain) override;
-
- private:
-  NodeModel& node_;
-  AccessMeter& meter_;
 };
 
-/// Uncore-domain set over the simulated node. Mirrors the MSR 0x620 access
+/// Uncore-domain set over a simulated node. Mirrors the MSR 0x620 access
 /// discipline (read, skip if already programmed, else write) so the meter
 /// charges multi-domain policies the same way real-silicon control would.
-class SimUncoreDomainSet final : public hw::IUncoreDomainSet {
+class LaneUncoreDomainSet final : public hw::IUncoreDomainSet, LaneRef {
  public:
-  SimUncoreDomainSet(NodeModel& node, AccessMeter& meter)
-      : node_(node), meter_(meter) {}
+  using LaneRef::LaneRef;
 
   [[nodiscard]] int domain_count() const override;
   [[nodiscard]] hw::DomainId domain_id(int domain) const override;
@@ -87,50 +82,60 @@ class SimUncoreDomainSet final : public hw::IUncoreDomainSet {
 
  private:
   void check_domain(int domain) const;
-
-  NodeModel& node_;
-  AccessMeter& meter_;
 };
 
 /// RAPL-style energy counters (one MSR read per query).
-class SimEnergyCounter final : public hw::IEnergyCounter {
+class LaneEnergyCounter final : public hw::IEnergyCounter, LaneRef {
  public:
-  SimEnergyCounter(NodeModel& node, AccessMeter& meter) : node_(node), meter_(meter) {}
+  using LaneRef::LaneRef;
 
   [[nodiscard]] int socket_count() const override;
   [[nodiscard]] double pkg_energy_j(int socket) override;
   [[nodiscard]] double dram_energy_j(int socket) override;
-
- private:
-  NodeModel& node_;
-  AccessMeter& meter_;
 };
 
 /// NVML-style GPU board power/energy (does not count as MSR traffic).
-class SimGpuPowerSensor final : public hw::IGpuPowerSensor {
+class LaneGpuPowerSensor final : public hw::IGpuPowerSensor, LaneRef {
  public:
-  explicit SimGpuPowerSensor(NodeModel& node) : node_(node) {}
+  using LaneRef::LaneRef;
 
   [[nodiscard]] int gpu_count() const override;
   [[nodiscard]] double power_w(int gpu) override;
   [[nodiscard]] double energy_j(int gpu) override;
 
  private:
-  NodeModel& node_;
+  void check_gpu(int gpu) const;
 };
 
 /// Per-core fixed counters (two MSR reads per core per sample for UPS).
-class SimCoreCounters final : public hw::ICoreCounters {
+class LaneCoreCounters final : public hw::ICoreCounters, LaneRef {
  public:
-  SimCoreCounters(NodeModel& node, AccessMeter& meter) : node_(node), meter_(meter) {}
+  using LaneRef::LaneRef;
 
   [[nodiscard]] int core_count() const override;
   [[nodiscard]] std::uint64_t instructions_retired(int core) override;
   [[nodiscard]] std::uint64_t cycles_unhalted(int core) override;
 
  private:
-  NodeModel& node_;
-  AccessMeter& meter_;
+  void check_core(int core) const;
+};
+
+/// The six backends of one lane -- what an engine hands a policy.
+struct LaneBackends {
+  LaneBackends(LaneStore& store, std::size_t lane)
+      : msr(store, lane),
+        mem(store, lane),
+        energy(store, lane),
+        gpu(store, lane),
+        cores(store, lane),
+        domains(store, lane) {}
+
+  LaneMsrDevice msr;
+  LaneMemThroughputCounter mem;
+  LaneEnergyCounter energy;
+  LaneGpuPowerSensor gpu;
+  LaneCoreCounters cores;
+  LaneUncoreDomainSet domains;
 };
 
 }  // namespace magus::sim

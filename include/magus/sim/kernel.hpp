@@ -1,19 +1,14 @@
 #pragma once
-// Shared node-tick kernel (namespace magus::sim::kern).
+// The node-tick kernel (namespace magus::sim::kern).
 //
 // One copy of the per-tick arithmetic, written against plain-old-data state
-// structs and a `Lane` accessor concept, instantiated twice:
-//
-//   * NodeModel::tick adapts its member objects (UncoreModel, CoreModel, ...)
-//     through a lane view -- the per-node oracle path;
-//   * BatchEngine adapts contiguous struct-of-arrays storage through a lane
-//     view -- the batched fleet path.
-//
-// Because both paths execute the *same* template over the same IEEE-754
-// operation sequence, their results are bit-identical by construction; the
-// golden determinism tests pin this. Keep every expression here in the exact
-// order the original model classes used -- reassociating a sum or hoisting a
-// multiply changes bit patterns and breaks the goldens.
+// structs and a `Lane` accessor concept. LaneStore (sim/node.hpp) is the one
+// instantiation: its struct-of-arrays view is what NodeModel/SimEngine tick
+// as a single lane and BatchEngine ticks across a fleet shard, so every
+// engine runs the same IEEE-754 operation sequence. The golden determinism
+// tests and the fleet rollup goldens pin its bit patterns. Keep every
+// expression here in the exact order it has -- reassociating a sum or
+// hoisting a multiply changes bit patterns and breaks the goldens.
 //
 // Hoist or memoize a value only when its inputs are bit-identical: the same
 // IEEE-754 operation on the same operands gives the same bits, so reusing
@@ -22,10 +17,9 @@
 // own state, so a lane ticking at its fixed tick_s pays each exp once and a
 // steady phase pays the pow once; any other dt or util recomputes.
 //
-// Functions here are contract-free on purpose: the wrapper classes
-// (UncoreModel, FirmwareGovernor, ...) keep their MAGUS_EXPECT/ENSURE
-// checks at the API boundary, so the kernel stays branch-lean for the
-// batched tick loop.
+// Functions here are contract-free on purpose: inputs are validated where
+// they enter (LaneStore::add_lane, the hw backends, manifest validation), so
+// the kernel stays branch-lean for the tick loop.
 
 #include <algorithm>
 #include <cmath>
@@ -59,7 +53,7 @@ struct TickOutput {
 
 namespace kern {
 
-// --- constants (previously private to the model classes) -------------------
+// --- constants -------------------------------------------------------------
 
 /// Uncore frequency transitions complete within ~10 ms (MSR writes are
 /// near-instant; PLL relock and traffic draining dominate).
@@ -75,7 +69,7 @@ inline constexpr double kTrafficNoiseRel = 0.002;
 inline constexpr double kBackgroundTrafficMbps = 300.0;
 /// Hard cap on sockets * dies_per_socket: the per-domain tick path uses
 /// fixed stack scratch (no heap in the hot path). Enforced at the API
-/// boundaries (NodeModel, BatchEngine, manifest validation), not here.
+/// boundaries (LaneStore::add_lane, manifest validation), not here.
 inline constexpr int kMaxDomains = 64;
 
 // --- per-subsystem state (POD, SoA-friendly) -------------------------------
@@ -203,7 +197,7 @@ struct NodeParams {
   }
 };
 
-// --- state initialisers (match the model-class constructors exactly) -------
+// --- power-on state ---------------------------------------------------------
 
 [[nodiscard]] inline UncoreState init_uncore(const hw::UncoreFreqLadder& ladder) {
   const double top = ladder.max_ghz();
@@ -326,6 +320,18 @@ inline void core_tick(CoreState& st, const CoreParams& p, double dt, double util
   return p.idle_w + p.dyn_w * util * ffrac * ffrac;
 }
 
+/// Display frequency of core `core` at sim time `now`: the governor
+/// frequency plus a per-core spread. Each core's governor hunts
+/// independently; a small phase-shifted oscillation reproduces the scatter
+/// in Fig. 1a. Trace-only: nothing in the tick reads it.
+[[nodiscard]] inline double core_display_freq_ghz(const CoreState& st, const CoreParams& p,
+                                                  int core, common::Seconds now) {
+  const double phase = static_cast<double>(core) * 0.37;
+  const double wobble = 0.04 * std::sin(6.2831853 * (now.value() / 1.1 + phase));
+  const double f = st.freq_ghz * (1.0 + wobble);
+  return std::clamp(f, p.min_ghz, p.max_ghz);
+}
+
 inline void gpu_tick(GpuState& st, const GpuParams& p, double dt, double util_effective) {
   const double util = std::clamp(util_effective, 0.0, 1.0);
   // SM clock boosts with load (sub-linear: boost bins saturate early).
@@ -356,8 +362,7 @@ inline void gpu_tick(GpuState& st, const GpuParams& p, double dt, double util_ef
 /// d = s * dies_per_socket + die). With one die per socket they coincide.
 ///
 /// Two bodies share the entry point. p.single_domain() selects the legacy
-/// path, whose statement order mirrors the original NodeModel::tick exactly
-/// -- the seed goldens pin its bit patterns; the per-domain accumulators
+/// path, whose statement order the seed goldens pin; the per-domain accumulators
 /// added to it only read values the legacy sequence already computed.
 /// Multi-die or NUMA-skewed nodes take the per-domain path: demand splits
 /// across domains (numa_skew pinned to domain 0, remainder uniform), each

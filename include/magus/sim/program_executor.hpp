@@ -1,8 +1,8 @@
 #pragma once
 // ProgramExecutor: walks a PhaseProgram in "phase seconds". Progress advances
 // at the node's progress rate, so memory starvation stretches wall-clock
-// automatically. Shared by the per-node SimEngine and the batched fleet
-// engine so both walk phases with identical arithmetic.
+// automatically. Every engine's tick loop (sim::run_to_boundary) walks its
+// program through one.
 
 #include <cstddef>
 

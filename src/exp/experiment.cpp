@@ -8,34 +8,29 @@
 
 namespace magus::exp {
 
-RunOutput run_policy(const sim::SystemSpec& system, const wl::PhaseProgram& workload,
-                     const std::string& policy, const RunOptions& opts) {
-  sim::SimEngine engine(system, workload, opts.engine);
-  if (opts.metrics) engine.attach_telemetry(*opts.metrics);
-  const hw::UncoreFreqLadder ladder(system.cpu.uncore_min_ghz, system.cpu.uncore_max_ghz);
+sim::PolicyHook bind_policy(PolicyBinding& binding, sim::LaneBackends& hw,
+                            const sim::SystemSpec& system, const std::string& policy,
+                            const RunOptions& opts, fault::FaultStats& faults) {
+  binding.ladder = hw::UncoreFreqLadder(system.cpu.uncore_min_ghz, system.cpu.uncore_max_ghz);
 
   core::PolicyContext ctx;
-  ctx.mem_counter = &engine.mem_counter();
-  ctx.energy_counter = &engine.energy_counter();
-  ctx.core_counters = &engine.core_counters();
-  ctx.msr = &engine.msr();
-  ctx.ladder = &ladder;
+  ctx.mem_counter = &hw.mem;
+  ctx.energy_counter = &hw.energy;
+  ctx.core_counters = &hw.cores;
+  ctx.msr = &hw.msr;
+  ctx.ladder = &binding.ladder;
 
   // Fault decorators slot in between the policy and the engine backends.
   // Constructed only when enabled so a rate-0 run takes the exact same code
   // path (and produces bit-identical results) as before the fault layer.
-  RunOutput out;
-  std::unique_ptr<fault::FaultPlan> plan;
-  std::unique_ptr<fault::FaultyMemThroughputCounter> faulty_mem;
-  std::unique_ptr<fault::FaultyMsrDevice> faulty_msr;
   if (opts.fault.enabled()) {
-    plan = std::make_unique<fault::FaultPlan>(opts.fault, opts.fault_node);
-    faulty_mem = std::make_unique<fault::FaultyMemThroughputCounter>(
-        engine.mem_counter(), *plan, out.faults);
-    faulty_msr =
-        std::make_unique<fault::FaultyMsrDevice>(engine.msr(), *plan, out.faults);
-    ctx.mem_counter = faulty_mem.get();
-    ctx.msr = faulty_msr.get();
+    binding.plan = std::make_unique<fault::FaultPlan>(opts.fault, opts.fault_node);
+    binding.faulty_mem =
+        std::make_unique<fault::FaultyMemThroughputCounter>(hw.mem, *binding.plan, faults);
+    binding.faulty_msr =
+        std::make_unique<fault::FaultyMsrDevice>(hw.msr, *binding.plan, faults);
+    ctx.mem_counter = binding.faulty_mem.get();
+    ctx.msr = binding.faulty_msr.get();
   }
   ctx.magus = &opts.magus;
   ctx.ups = &opts.ups;
@@ -50,44 +45,37 @@ RunOutput run_policy(const sim::SystemSpec& system, const wl::PhaseProgram& work
   // Per-domain control only on multi-domain nodes: single-domain runs keep
   // the legacy node-level loop (and its exact counter-access sequence).
   if (system.cpu.dies_per_socket > 1 || system.numa_skew != 0.0) {
-    ctx.domains = &engine.domains();
+    ctx.domains = &hw.domains;
   }
 
   const core::PolicyFactory& factory = core::PolicyFactory::instance();
-  std::unique_ptr<core::IPolicy> bound = factory.make_policy(policy, ctx);
+  binding.policy = factory.make_policy(policy, ctx);
 
   sim::PolicyHook hook;
-  hook.name = bound->name();
-  hook.period_s = bound->period_s();
-  hook.on_start = [&bound](common::Seconds now) { bound->on_start(now); };
+  hook.name = binding.policy->name();
+  hook.period_s = binding.policy->period_s();
+  core::IPolicy* bound = binding.policy.get();
+  hook.on_start = [bound](common::Seconds now) { bound->on_start(now); };
   // Default and static policies do nothing per sample; skip the callback so
   // the engine charges them zero monitoring overhead (they are not runtimes).
   if (factory.is_runtime(policy)) {
-    hook.on_sample = [&bound](common::Seconds now) { bound->on_sample(now); };
+    hook.on_sample = [bound](common::Seconds now) { bound->on_sample(now); };
   }
-
-  out.result = engine.run(hook);
-  out.traces = engine.recorder();
-  out.policy_degraded = bound->degraded();
-  return out;
-}
-
-const char* policy_name(PolicyKind kind) noexcept {
-  switch (kind) {
-    case PolicyKind::kDefault: return "default";
-    case PolicyKind::kStaticMin: return "static_min";
-    case PolicyKind::kStaticMax: return "static_max";
-    case PolicyKind::kStatic: return "static";
-    case PolicyKind::kMagus: return "magus";
-    case PolicyKind::kUps: return "ups";
-    case PolicyKind::kDuf: return "duf";
-  }
-  return "?";
+  return hook;
 }
 
 RunOutput run_policy(const sim::SystemSpec& system, const wl::PhaseProgram& workload,
-                     PolicyKind kind, const RunOptions& opts) {
-  return run_policy(system, workload, std::string(policy_name(kind)), opts);
+                     const std::string& policy, const RunOptions& opts) {
+  sim::SimEngine engine(system, workload, opts.engine);
+  if (opts.metrics) engine.attach_telemetry(*opts.metrics);
+  RunOutput out;
+  PolicyBinding binding;
+  const sim::PolicyHook hook =
+      bind_policy(binding, engine.backends(), system, policy, opts, out.faults);
+  out.result = engine.run(hook);
+  out.traces = engine.recorder();
+  out.policy_degraded = binding.policy->degraded();
+  return out;
 }
 
 wl::PhaseProgram idle_workload(double duration_s) {

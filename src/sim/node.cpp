@@ -1,102 +1,87 @@
 #include "magus/sim/node.hpp"
 
+#include <string>
+#include <utility>
+
 #include "magus/common/error.hpp"
+#include "magus/hw/msr.hpp"
 
 namespace magus::sim {
 
-/// Lane view over the member model objects: kern::node_tick reads and writes
-/// the exact same state the public accessors expose, so a policy poking
-/// uncore(s).set_policy_limit between ticks is observed by the next tick.
-struct NodeModel::LaneView {
-  NodeModel& n;
-
-  [[nodiscard]] kern::UncoreState& uncore(int s) const {
-    return n.uncores_[static_cast<std::size_t>(s)].st();
+std::size_t LaneStore::add_lane(const SystemSpec& spec, std::uint64_t noise_seed) {
+  if (spec.cpu.dies_per_socket < 1) {
+    throw common::ConfigError("LaneStore: dies_per_socket must be >= 1");
   }
-  [[nodiscard]] kern::FirmwareState& firmware(int s) const {
-    return n.firmware_[static_cast<std::size_t>(s)].st();
+  if (spec.numa_skew < 0.0 || spec.numa_skew >= 1.0) {
+    throw common::ConfigError("LaneStore: numa_skew must be in [0, 1)");
   }
-  [[nodiscard]] kern::CoreState& core() const { return n.cores_.st(); }
-  [[nodiscard]] kern::GpuState& gpu() const { return n.gpu_.st(); }
-  [[nodiscard]] double& pkg_energy(int s) const {
-    return n.pkg_energy_j_[static_cast<std::size_t>(s)];
-  }
-  [[nodiscard]] double& dram_energy(int s) const {
-    return n.dram_energy_j_[static_cast<std::size_t>(s)];
-  }
-  [[nodiscard]] double& last_pkg_w(int s) const {
-    return n.last_socket_pkg_w_[static_cast<std::size_t>(s)];
-  }
-  [[nodiscard]] double& traffic_mb() const { return n.traffic_mb_; }
-  [[nodiscard]] common::Rng& rng() const { return n.noise_; }
-  [[nodiscard]] double& domain_traffic_mb(int d) const {
-    return n.domain_traffic_mb_[static_cast<std::size_t>(d)];
-  }
-  [[nodiscard]] double& domain_uncore_energy(int d) const {
-    return n.domain_uncore_energy_j_[static_cast<std::size_t>(d)];
-  }
-  [[nodiscard]] double& domain_stretch_time(int d) const {
-    return n.domain_stretch_time_s_[static_cast<std::size_t>(d)];
-  }
-};
-
-NodeModel::NodeModel(SystemSpec spec, std::uint64_t noise_seed)
-    : spec_(std::move(spec)),
-      params_(kern::NodeParams::from_spec(spec_)),
-      cores_(spec_.cpu),
-      gpu_(spec_.gpu),
-      noise_(noise_seed) {
-  if (spec_.cpu.dies_per_socket < 1) {
-    throw common::ConfigError("NodeModel: dies_per_socket must be >= 1");
-  }
-  if (spec_.numa_skew < 0.0 || spec_.numa_skew >= 1.0) {
-    throw common::ConfigError("NodeModel: numa_skew must be in [0, 1)");
-  }
-  if (params_.domains() > kern::kMaxDomains) {
-    throw common::ConfigError("NodeModel: sockets * dies_per_socket exceeds " +
+  if (spec.cpu.sockets * spec.cpu.dies_per_socket > kern::kMaxDomains) {
+    throw common::ConfigError("LaneStore: sockets * dies_per_socket exceeds " +
                               std::to_string(kern::kMaxDomains));
   }
-  const auto sockets = static_cast<std::size_t>(spec_.cpu.sockets);
-  const auto domains = static_cast<std::size_t>(params_.domains());
-  uncores_.reserve(domains);
-  firmware_.reserve(sockets);
-  for (std::size_t d = 0; d < domains; ++d) {
-    uncores_.emplace_back(spec_.cpu, spec_.cpu.dies_per_socket);
+
+  const std::size_t index = lanes_.size();
+  LaneInfo info;
+  info.params = kern::NodeParams::from_spec(spec);
+  info.socket_base = firmware_.size();
+  info.domain_base = uncore_.size();
+  info.cores = spec.cpu.total_cores();
+  const kern::NodeParams& p = info.params;
+
+  hw::UncoreRatioLimit limit;
+  limit.max_ratio = p.ladder.max_ratio();
+  limit.min_ratio = p.ladder.min_ratio();
+  for (int s = 0; s < p.sockets; ++s) {
+    firmware_.push_back(kern::init_firmware(p.fw));
+    pkg_energy_j_.push_back(0.0);
+    dram_energy_j_.push_back(0.0);
+    last_pkg_w_.push_back(0.0);
+    raw_0x620_.push_back(limit.encode());
   }
-  for (std::size_t s = 0; s < sockets; ++s) {
-    firmware_.emplace_back(spec_.cpu, spec_.tdp_backoff_frac);
+  for (int d = 0; d < p.domains(); ++d) {
+    uncore_.push_back(kern::init_uncore(p.ladder));
+    domain_traffic_mb_.push_back(0.0);
+    domain_uncore_energy_j_.push_back(0.0);
+    domain_stretch_time_s_.push_back(0.0);
   }
-  pkg_energy_j_.assign(sockets, 0.0);
-  dram_energy_j_.assign(sockets, 0.0);
-  last_socket_pkg_w_.assign(sockets, 0.0);
-  domain_traffic_mb_.assign(domains, 0.0);
-  domain_uncore_energy_j_.assign(domains, 0.0);
-  domain_stretch_time_s_.assign(domains, 0.0);
+  core_.push_back(kern::init_core(p.core));
+  gpu_.push_back(kern::init_gpu(p.gpu));
+  traffic_mb_.push_back(0.0);
+  rng_.emplace_back(noise_seed);
+  lanes_.push_back(std::move(info));
+  return index;
 }
 
-double NodeModel::capacity_mbps() const noexcept {
-  double cap = 0.0;
-  for (const auto& u : uncores_) cap += u.capacity().value();
-  return cap;
-}
-
-double NodeModel::total_pkg_energy_j() const noexcept {
+double LaneStore::total_pkg_energy_j(std::size_t lane) const {
   double e = 0.0;
-  for (double j : pkg_energy_j_) e += j;
+  for (int s = 0; s < lanes_[lane].params.sockets; ++s) e += pkg_energy_j(lane, s);
   return e;
 }
 
-double NodeModel::total_dram_energy_j() const noexcept {
+double LaneStore::total_dram_energy_j(std::size_t lane) const {
   double e = 0.0;
-  for (double j : dram_energy_j_) e += j;
+  for (int s = 0; s < lanes_[lane].params.sockets; ++s) e += dram_energy_j(lane, s);
   return e;
+}
+
+NodeModel::NodeModel(const SystemSpec& spec, std::uint64_t noise_seed) {
+  store_.add_lane(spec, noise_seed);
 }
 
 TickOutput NodeModel::tick(common::Seconds now, double dt, const WorkSlice& slice,
                            double monitor_extra_w) {
   (void)now;
-  last_ = kern::node_tick(LaneView{*this}, params_, dt, slice, monitor_extra_w);
+  last_ = store_.tick(0, dt, slice, monitor_extra_w);
   return last_;
+}
+
+double NodeModel::capacity_mbps() const {
+  const kern::NodeParams& p = params();
+  double cap = 0.0;
+  for (int d = 0; d < p.domains(); ++d) {
+    cap += kern::uncore_capacity_at(p.die, uncore(d).freq_ghz);
+  }
+  return cap;
 }
 
 }  // namespace magus::sim

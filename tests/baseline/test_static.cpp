@@ -29,8 +29,8 @@ TEST(StaticUncorePolicy, PinsAtStart) {
   const magus::hw::UncoreFreqLadder ladder(0.8, 2.2);
   mb::StaticUncorePolicy p(engine.msr(), ladder, 1.2_ghz);
   p.on_start(magus::common::Seconds(0.0));
-  EXPECT_DOUBLE_EQ(engine.node().uncore(0).policy_limit().value(), 1.2);
-  EXPECT_DOUBLE_EQ(engine.node().uncore(1).policy_limit().value(), 1.2);
+  EXPECT_DOUBLE_EQ(engine.node().uncore(0).policy_limit_ghz, 1.2);
+  EXPECT_DOUBLE_EQ(engine.node().uncore(1).policy_limit_ghz, 1.2);
   EXPECT_DOUBLE_EQ(p.target().value(), 1.2);
 }
 

@@ -90,7 +90,7 @@ TEST(Ups, DryRunNeverWritesMsrs) {
           cfg);
   const auto r = rig.run();
   EXPECT_EQ(r.accesses.msr_writes, 0ull);
-  EXPECT_DOUBLE_EQ(rig.engine.node().uncore(0).policy_limit().value(), 2.2);
+  EXPECT_DOUBLE_EQ(rig.engine.node().uncore(0).policy_limit_ghz, 2.2);
 }
 
 TEST(Ups, ReportsDramPowerAndIpc) {

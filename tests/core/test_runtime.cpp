@@ -85,7 +85,7 @@ TEST(MagusRuntime, DryRunMonitorsWithoutScaling) {
   EXPECT_GT(rig.magus.controller().log().size(), 10u);
   EXPECT_EQ(r.accesses.msr_writes, 0ull);
   // Uncore stayed wherever the node had it (max).
-  EXPECT_DOUBLE_EQ(rig.engine.node().uncore(0).policy_limit().value(), 2.2);
+  EXPECT_DOUBLE_EQ(rig.engine.node().uncore(0).policy_limit_ghz, 2.2);
 }
 
 TEST(MagusRuntime, OneCounterReadPerCycle) {
@@ -109,6 +109,6 @@ TEST(MagusRuntime, InitialUncoreIsMax) {
   // Section 3.3: uncore starts at the maximum when the application arrives.
   Rig rig(burst_workload());
   rig.magus.on_start(magus::common::Seconds(0.0));
-  EXPECT_DOUBLE_EQ(rig.engine.node().uncore(0).policy_limit().value(), 2.2);
-  EXPECT_DOUBLE_EQ(rig.engine.node().uncore(1).policy_limit().value(), 2.2);
+  EXPECT_DOUBLE_EQ(rig.engine.node().uncore(0).policy_limit_ghz, 2.2);
+  EXPECT_DOUBLE_EQ(rig.engine.node().uncore(1).policy_limit_ghz, 2.2);
 }

@@ -128,29 +128,3 @@ TEST(PolicyFactory, NamesAreSorted) {
     EXPECT_LT(names[i - 1], names[i]);
   }
 }
-
-// --------------------------------------------------------------------------
-// Deprecated PolicyKind shim: frozen spellings, and the enum overload must
-// produce the exact results of the name-based API it forwards to.
-
-TEST(PolicyKindShim, NamesStable) {
-  EXPECT_STREQ(me::policy_name(me::PolicyKind::kDefault), "default");
-  EXPECT_STREQ(me::policy_name(me::PolicyKind::kStaticMin), "static_min");
-  EXPECT_STREQ(me::policy_name(me::PolicyKind::kStaticMax), "static_max");
-  EXPECT_STREQ(me::policy_name(me::PolicyKind::kStatic), "static");
-  EXPECT_STREQ(me::policy_name(me::PolicyKind::kMagus), "magus");
-  EXPECT_STREQ(me::policy_name(me::PolicyKind::kUps), "ups");
-  EXPECT_STREQ(me::policy_name(me::PolicyKind::kDuf), "duf");
-}
-
-TEST(PolicyKindShim, EnumOverloadMatchesNameOverload) {
-  const auto system = magus::sim::intel_a100();
-  const auto program = magus::wl::make_workload("bfs");
-  const auto by_kind =
-      me::run_policy(system, program, me::PolicyKind::kMagus).result;
-  const auto by_name = me::run_policy(system, program, "magus").result;
-  EXPECT_EQ(by_kind.policy_name, by_name.policy_name);
-  EXPECT_DOUBLE_EQ(by_kind.duration_s, by_name.duration_s);
-  EXPECT_DOUBLE_EQ(by_kind.pkg_energy_j, by_name.pkg_energy_j);
-  EXPECT_DOUBLE_EQ(by_kind.gpu_energy_j, by_name.gpu_energy_j);
-}

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "magus/common/error.hpp"
 #include "magus/hw/rapl.hpp"
 #include "magus/sim/backends.hpp"
@@ -14,16 +16,16 @@ namespace mc = magus::common;
 namespace {
 struct Rig {
   ms::NodeModel node{ms::intel_a100(), 1};
-  ms::AccessMeter meter;
-  ms::SimMsrDevice msr{node, meter};
-  ms::SimMemThroughputCounter mem{node, meter};
-  ms::SimEnergyCounter energy{node, meter};
-  ms::SimGpuPowerSensor gpu{node};
-  ms::SimCoreCounters cores{node, meter};
+  ms::LaneBackends hw{node.store(), 0};
+  ms::AccessMeter& meter = node.store().meter(0);
+  ms::LaneMsrDevice& msr = hw.msr;
+  ms::LaneMemThroughputCounter& mem = hw.mem;
+  ms::LaneEnergyCounter& energy = hw.energy;
+  ms::LaneCoreCounters& cores = hw.cores;
 };
 }  // namespace
 
-TEST(SimMsrDevice, InitialUncoreLimitMatchesLadder) {
+TEST(LaneMsrDevice, InitialUncoreLimitMatchesLadder) {
   Rig rig;
   const auto limit = mh::UncoreRatioLimit::decode(
       rig.msr.read(0, mh::msr::kUncoreRatioLimit));
@@ -31,25 +33,25 @@ TEST(SimMsrDevice, InitialUncoreLimitMatchesLadder) {
   EXPECT_EQ(limit.min_ratio, 8u);
 }
 
-TEST(SimMsrDevice, WritingMaxRatioSteersUncore) {
+TEST(LaneMsrDevice, WritingMaxRatioSteersUncore) {
   Rig rig;
   mh::UncoreRatioLimit limit{12, 8};
   rig.msr.write(0, mh::msr::kUncoreRatioLimit, limit.encode());
   rig.msr.write(1, mh::msr::kUncoreRatioLimit, limit.encode());
-  EXPECT_DOUBLE_EQ(rig.node.uncore(0).policy_limit().value(), 1.2);
+  EXPECT_DOUBLE_EQ(rig.node.uncore(0).policy_limit_ghz, 1.2);
   // Frequency follows after slewing.
   for (int i = 0; i < 200; ++i) rig.node.tick(mc::Seconds(i * 0.002), 0.002, {}, 0.0);
-  EXPECT_DOUBLE_EQ(rig.node.uncore(0).freq().value(), 1.2);
+  EXPECT_DOUBLE_EQ(rig.node.uncore(0).freq_ghz, 1.2);
 }
 
-TEST(SimMsrDevice, UnsupportedRegistersFaultLikeHardware) {
+TEST(LaneMsrDevice, UnsupportedRegistersFaultLikeHardware) {
   Rig rig;
   EXPECT_THROW((void)rig.msr.read(0, 0x1234), magus::common::DeviceError);
   EXPECT_THROW(rig.msr.write(0, 0x611, 1), magus::common::DeviceError);
   EXPECT_THROW((void)rig.msr.read(5, mh::msr::kUncoreRatioLimit), magus::common::ConfigError);
 }
 
-TEST(SimMsrDevice, EnergyStatusUsesRaplEncoding) {
+TEST(LaneMsrDevice, EnergyStatusUsesRaplEncoding) {
   Rig rig;
   for (int i = 0; i < 500; ++i) rig.node.tick(mc::Seconds(i * 0.002), 0.002, {}, 0.0);
   const auto units =
@@ -60,7 +62,7 @@ TEST(SimMsrDevice, EnergyStatusUsesRaplEncoding) {
   EXPECT_NEAR(decoded_j, rig.node.pkg_energy_j(0), 0.001);
 }
 
-TEST(SimMsrDevice, UncorePerfStatusReportsCurrentRatio) {
+TEST(LaneMsrDevice, UncorePerfStatusReportsCurrentRatio) {
   Rig rig;
   EXPECT_EQ(rig.msr.read(0, mh::msr::kUncorePerfStatus), 22u);
 }
@@ -75,11 +77,18 @@ TEST(SimCounters, EnergyCounterMatchesNode) {
 
 TEST(SimCounters, GpuSensorSplitsBoards) {
   ms::NodeModel node(ms::intel_4a100(), 1);
-  ms::SimGpuPowerSensor gpu(node);
+  ms::LaneGpuPowerSensor gpu(node.store(), 0);
   for (int i = 0; i < 100; ++i) node.tick(mc::Seconds(i * 0.002), 0.002, {}, 0.0);
   EXPECT_EQ(gpu.gpu_count(), 4);
-  EXPECT_NEAR(gpu.power_w(0) * 4.0, node.gpu().power_w(), 1e-9);
+  EXPECT_NEAR(gpu.power_w(0) * 4.0, node.gpu().power_w, 1e-9);
   EXPECT_THROW((void)gpu.power_w(4), magus::common::ConfigError);
+}
+
+TEST(SimCounters, CoreIndexValidation) {
+  Rig rig;
+  EXPECT_EQ(rig.cores.core_count(), 80);
+  EXPECT_THROW((void)rig.cores.instructions_retired(80), std::out_of_range);
+  EXPECT_THROW((void)rig.cores.cycles_unhalted(-1), std::out_of_range);
 }
 
 TEST(AccessMeter, CountsEveryRead) {

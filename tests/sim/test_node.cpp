@@ -24,7 +24,7 @@ TEST(NodeModel, EnergiesAccumulateMonotonically) {
     last_pkg = node.total_pkg_energy_j();
   }
   EXPECT_GT(node.total_dram_energy_j(), 0.0);
-  EXPECT_GT(node.gpu().energy_j(), 0.0);
+  EXPECT_GT(node.gpu().energy_j, 0.0);
 }
 
 TEST(NodeModel, TrafficCounterTracksDelivered) {
@@ -44,7 +44,7 @@ TEST(NodeModel, UncoreAtMaxByDefault) {
 TEST(NodeModel, LowUncoreStretchesHeavyPhases) {
   auto node = make_node();
   for (int s = 0; s < node.socket_count(); ++s) {
-    node.uncore(s).set_policy_limit(magus::common::Ghz(0.8));
+    ms::kern::uncore_set_policy_limit(node.uncore(s), node.params().ladder, 0.8);
   }
   for (int i = 0; i < 500; ++i) node.tick(mc::Seconds(i * 0.002), 0.002, heavy_slice(), 0.0);
   EXPECT_GT(node.last().stretch, 1.3);
@@ -52,7 +52,7 @@ TEST(NodeModel, LowUncoreStretchesHeavyPhases) {
   // Quiet phases are unaffected even at min uncore.
   auto node2 = make_node();
   for (int s = 0; s < node2.socket_count(); ++s) {
-    node2.uncore(s).set_policy_limit(magus::common::Ghz(0.8));
+    ms::kern::uncore_set_policy_limit(node2.uncore(s), node2.params().ladder, 0.8);
   }
   for (int i = 0; i < 500; ++i) node2.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
   EXPECT_DOUBLE_EQ(node2.last().stretch, 1.0);
@@ -62,7 +62,7 @@ TEST(NodeModel, LowUncoreCutsPackagePower) {
   auto lo = make_node();
   auto hi = make_node();
   for (int s = 0; s < lo.socket_count(); ++s) {
-    lo.uncore(s).set_policy_limit(magus::common::Ghz(0.8));
+    ms::kern::uncore_set_policy_limit(lo.uncore(s), lo.params().ladder, 0.8);
   }
   for (int i = 0; i < 500; ++i) {
     lo.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
@@ -95,8 +95,10 @@ TEST(NodeModel, DeterministicForSameSeed) {
 
 TEST(NodeModel, CapacityIsSumOfSockets) {
   auto node = make_node();
+  const ms::kern::UncoreParams& die = node.params().die;
   EXPECT_DOUBLE_EQ(node.capacity_mbps(),
-                   node.uncore(0).capacity().value() + node.uncore(1).capacity().value());
+                   ms::kern::uncore_capacity_at(die, node.uncore(0).freq_ghz) +
+                       ms::kern::uncore_capacity_at(die, node.uncore(1).freq_ghz));
 }
 
 TEST(NodeModel, PerSocketEnergySymmetricWithoutMonitor) {
@@ -115,8 +117,8 @@ TEST(NodeModel, GovernorsFollowClosedFormAtAnyDt) {
   int step = 0;
   for (double dt : {0.002, 0.002, 0.0037, 0.002, 0.01, 0.01, 0.00025, 0.002}) {
     const ms::WorkSlice slice = (step++ % 3 == 0) ? heavy_slice() : quiet_slice();
-    const double f0 = node.cores().freq_ghz();
-    const double c0 = node.gpu().clock_ghz();
+    const double f0 = node.cores().freq_ghz;
+    const double c0 = node.gpu().clock_ghz;
     t += dt;
     node.tick(mc::Seconds(t), dt, slice, 0.0);
 
@@ -124,13 +126,13 @@ TEST(NodeModel, GovernorsFollowClosedFormAtAnyDt) {
     const double core_target =
         std::min(spec.cpu.core_max_ghz, spec.cpu.core_min_ghz + span * slice.cpu_util * 1.4);
     const double core_alpha = 1.0 - std::exp(-dt / ms::kern::kCoreGovernorTau);
-    EXPECT_EQ(node.cores().freq_ghz(), f0 + (core_target - f0) * core_alpha) << "dt=" << dt;
+    EXPECT_EQ(node.cores().freq_ghz, f0 + (core_target - f0) * core_alpha) << "dt=" << dt;
 
     const double util = std::clamp(slice.gpu_util / node.last().stretch, 0.0, 1.0);
     const double boost = std::pow(util, 0.7);
     const double gpu_target =
         spec.gpu.base_clock_ghz + (spec.gpu.max_clock_ghz - spec.gpu.base_clock_ghz) * boost;
     const double gpu_alpha = 1.0 - std::exp(-dt / ms::kern::kGpuGovernorTau);
-    EXPECT_EQ(node.gpu().clock_ghz(), c0 + (gpu_target - c0) * gpu_alpha) << "dt=" << dt;
+    EXPECT_EQ(node.gpu().clock_ghz, c0 + (gpu_target - c0) * gpu_alpha) << "dt=" << dt;
   }
 }

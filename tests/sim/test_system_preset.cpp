@@ -5,9 +5,8 @@
 
 #include "magus/common/error.hpp"
 #include "magus/hw/uncore_freq.hpp"
-#include "magus/sim/core_model.hpp"
+#include "magus/sim/kernel.hpp"
 #include "magus/sim/system_preset.hpp"
-#include "magus/sim/uncore_model.hpp"
 
 namespace ms = magus::sim;
 
@@ -52,16 +51,18 @@ TEST_P(PresetSweep, InternallyConsistent) {
 
   // Peak per-socket power must fit under TDP with margin for RAPL realism:
   // cores at full tilt + uncore at max and full utilisation.
-  ms::UncoreModel uncore(spec.cpu);
-  ms::CoreModel cores(spec.cpu);
-  for (int i = 0; i < 2000; ++i) cores.tick(0.002, 1.0, 1.6);
-  const double peak = cores.power_w(1.0) + uncore.power(1.0).value();
+  const ms::kern::NodeParams p = ms::kern::NodeParams::from_spec(spec);
+  const ms::kern::UncoreState uncore = ms::kern::init_uncore(p.ladder);
+  ms::kern::CoreState cores = ms::kern::init_core(p.core);
+  for (int i = 0; i < 2000; ++i) ms::kern::core_tick(cores, p.core, 0.002, 1.0, 1.6);
+  const double peak = ms::kern::core_power_w(cores, p.core, 1.0) +
+                      ms::kern::uncore_power(uncore, p.uncore, 1.0);
   EXPECT_LT(peak, spec.cpu.tdp_w);
   EXPECT_GT(peak, 0.4 * spec.cpu.tdp_w);
 
   // Bandwidth capacity spans a meaningful range across the ladder.
-  EXPECT_GT(uncore.capacity_at(magus::common::Ghz(ladder.max_ghz())).value(),
-            1.2 * uncore.capacity_at(magus::common::Ghz(ladder.min_ghz())).value());
+  EXPECT_GT(ms::kern::uncore_capacity_at(p.uncore, ladder.max_ghz()),
+            1.2 * ms::kern::uncore_capacity_at(p.uncore, ladder.min_ghz()));
 
   // Monitoring constants are positive (Table 2 machinery).
   EXPECT_GT(spec.cpu.msr_read_latency_s, 0.0);

@@ -137,16 +137,6 @@ class NakedMsrLiteralTest(LintRuleTestCase):
         self.assertEqual(violations_in(self.tree.root), [])
 
 
-class NakedPolicyKindTest(LintRuleTestCase):
-    def test_fires_outside_shim(self):
-        self.tree.write("src/core/x.cpp", "auto k = PolicyKind::kMagus;\n")
-        self.assertIn("naked-policy-kind", rules_of(violations_in(self.tree.root)))
-
-    def test_shim_exempt(self):
-        self.tree.write("src/exp/experiment.cpp", "auto k = PolicyKind::kMagus;\n")
-        self.assertEqual(violations_in(self.tree.root), [])
-
-
 class NakedSysfsPathTest(LintRuleTestCase):
     PATH_LINE = 'auto p = "/sys/devices/system/cpu/intel_uncore_frequency";\n'
 

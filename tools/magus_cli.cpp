@@ -11,8 +11,8 @@
 //   magus-cli overhead --system intel_a100 [--duration 600]
 //       Table 2 protocol on one system.
 //   magus-cli fleet [--nodes 256] [--seed 2025] [--jobs N] [--shard-size 16]
-//                   [--engine batch|per-node] [--manifest in.jsonl]
-//                   [--save-manifest out.jsonl] [--out rollup.jsonl|-]
+//                   [--manifest in.jsonl] [--save-manifest out.jsonl]
+//                   [--out rollup.jsonl|-]
 //                   [--fault-rate P] [--fault-seed S]
 //                   [--dies N] [--numa-skew X] [--policy NAME] [--power-cap W]
 //                   [--power-budget W] [--budget-epoch S]
@@ -20,10 +20,8 @@
 //       per-policy rollups (Joules saved vs an all-default fleet, slowdown
 //       percentiles). Without --manifest a deterministic synthetic fleet of
 //       --nodes nodes is generated. Rollups are bit-identical for any
-//       --jobs count and either engine (batch, the default, advances each
-//       shard through the SoA kernel; per-node is the one-engine-per-run
-//       oracle); --out writes the canonical JSONL dump ("-" streams it to
-//       stdout with all human output on stderr). --power-budget water-fills
+//       --jobs count and shard size; --out writes the canonical JSONL dump
+//       ("-" streams it to stdout with all human output on stderr). --power-budget water-fills
 //       a global Watts budget across nodes per --budget-epoch of simulated
 //       time; --policy/--power-cap rewrite every node, so a saved fleet can
 //       be replayed under a cap-aware comparator.
@@ -61,8 +59,6 @@ int usage() {
             << "                [--metrics-out metrics.prom]\n"
             << "  magus-cli overhead --system <name> [--duration seconds]\n"
             << "  magus-cli fleet [--nodes N] [--seed S] [--jobs N] [--shard-size N]\n"
-            << "                  [--engine batch|per-node]   (same results, batch is "
-               "faster)\n"
             << "                  [--manifest in.jsonl] [--save-manifest out.jsonl] "
                "[--out rollup.jsonl|-]\n"
             << "                  [--fault-rate P] [--fault-seed S]   (deterministic "
@@ -260,23 +256,9 @@ int cmd_fleet(const std::map<std::string, std::string>& flags) {
     std::cerr << "warning: --shard-size " << manifest.shard_size() << " exceeds the fleet ("
               << runner.nodes_total() << " nodes); clamping to one full-fleet shard\n";
   }
-  fleet::FleetEngine engine = fleet::FleetEngine::kBatch;
-  if (flags.count("engine")) {
-    const std::string& name = flags.at("engine");
-    if (name == "batch") {
-      engine = fleet::FleetEngine::kBatch;
-    } else if (name == "per-node") {
-      engine = fleet::FleetEngine::kPerNode;
-    } else {
-      throw common::ConfigError("--engine must be 'batch' or 'per-node' (got '" + name +
-                                "')");
-    }
-  }
-  runner.set_engine(engine);
   info << "simulating fleet: " << runner.nodes_total() << " nodes (seed "
-       << manifest.seed() << ", shard size " << manifest.shard_size() << ", "
-       << (engine == fleet::FleetEngine::kBatch ? "batch" : "per-node") << " engine, "
-       << workers << " worker" << (workers == 1 ? "" : "s");
+       << manifest.seed() << ", shard size " << manifest.shard_size() << ", " << workers
+       << " worker" << (workers == 1 ? "" : "s");
   if (manifest.fault().enabled()) {
     info << ", fault rate " << manifest.fault().rate << " seed "
          << manifest.fault().seed;

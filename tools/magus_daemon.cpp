@@ -231,7 +231,6 @@ class FleetService {
   struct Job {
     std::uint64_t id = 0;
     fleet::FleetManifest manifest;
-    fleet::FleetEngine engine = fleet::FleetEngine::kBatch;
   };
 
   static std::string query_param(const std::string& query, const std::string& key) {
@@ -296,23 +295,12 @@ class FleetService {
       res.body = std::string(e.what()) + "\n";
       return res;
     }
-    // ?engine=batch|per-node picks the tick path; both yield byte-identical
-    // rollups, so this is a throughput knob, not a semantics knob.
-    fleet::FleetEngine engine = fleet::FleetEngine::kBatch;
-    const std::string engine_name = query_param(req.query, "engine");
-    if (engine_name == "per-node") {
-      engine = fleet::FleetEngine::kPerNode;
-    } else if (!engine_name.empty() && engine_name != "batch") {
-      res.status = 400;
-      res.body = "engine must be 'batch' or 'per-node' (got '" + engine_name + "')\n";
-      return res;
-    }
 
     std::uint64_t id = 0;
     {
       const common::LockGuard lock(mutex_);
       id = next_job_id_++;
-      queue_.push_back(Job{id, std::move(manifest), engine});
+      queue_.push_back(Job{id, std::move(manifest)});
     }
     cv_.notify_one();
     telemetry::inc(m_jobs_submitted_);
@@ -371,7 +359,6 @@ class FleetService {
       }
       try {
         fleet::FleetRunner runner(std::move(job.manifest));
-        runner.set_engine(job.engine);
         // Registers magus_fleet_* families — takes the registry's
         // registration mutex. Deliberately outside the job lock: the
         // hierarchy says mutex_ -> registry mutex is the only legal nesting,

@@ -14,12 +14,6 @@ Rules (each exits non-zero on violation, with file:line diagnostics):
                      are a documented raw boundary), and common/units.hpp
                      (the conversion layer itself).
 
-  naked-policy-kind  exp::PolicyKind is a deprecated shim over the
-                     core::PolicyFactory name registry. Only the shim itself
-                     (exp/experiment.hpp + src/exp/experiment.cpp) and its
-                     pinning test may spell PolicyKind; everywhere else
-                     policies are factory names ("magus", "ups", ...).
-
   naked-msr-literal  The uncore ratio-limit MSR address 0x620 appears as a
                      code literal only inside hw/; everywhere else it must be
                      spelled hw::msr::kUncoreRatioLimit. Comments, strings,
@@ -89,7 +83,6 @@ import sys
 UNIT_PARAM_RE = re.compile(
     r"\bdouble\s+([A-Za-z_]*(?:ghz|mbps|freq|throughput)[A-Za-z_0-9]*|now)\s*[,)]"
 )
-POLICY_KIND_RE = re.compile(r"\bPolicyKind\b")
 NAKED_MSR_RE = re.compile(r"(?<![\w.])0x620\b(?!_)")
 SYSFS_PATH_RE = re.compile(r"/sys/devices/system/cpu/intel_uncore_frequency")
 THRESHOLD_RE = re.compile(
@@ -125,13 +118,6 @@ QUANTITY_HEADER_DIRS = ("common", "core", "sim", "baseline", "exp", "fleet", "tr
                         "telemetry")
 # Raw boundaries, documented in DESIGN.md: MSR codecs and workload phase programs.
 RAW_UNIT_EXEMPT = {"include/magus/common/units.hpp"}
-
-# The PolicyKind shim and the test that pins its frozen spellings.
-POLICY_KIND_SHIM_FILES = {
-    "include/magus/exp/experiment.hpp",
-    "src/exp/experiment.cpp",
-    "tests/exp/test_policy_factory.cpp",
-}
 
 # Files where numeric threshold defaults are the source of truth.
 THRESHOLD_SOURCE_FILES = {
@@ -253,7 +239,6 @@ def iter_violations(root: pathlib.Path):
         code = strip_comments_and_strings(text)
         code_with_strings = strip_comments_keep_strings(text)
         msr_exempt = rel.startswith(("include/magus/hw/", "src/hw/", "tests/hw/"))
-        kind_exempt = rel in POLICY_KIND_SHIM_FILES
         sysfs_exempt = rel in SYSFS_PATH_BUILDER_FILES
         nondet_active = (rel.startswith(NONDET_SCOPES)
                         and rel not in NONDET_ALLOWED_FILES)
@@ -307,10 +292,6 @@ def iter_violations(root: pathlib.Path):
             if not msr_exempt and NAKED_MSR_RE.search(line):
                 yield (rel, lineno, "naked-msr-literal",
                        "naked 0x620 outside hw/ -- use hw::msr::kUncoreRatioLimit")
-            if not kind_exempt and POLICY_KIND_RE.search(line):
-                yield (rel, lineno, "naked-policy-kind",
-                       "PolicyKind outside the deprecated shim -- pass a factory "
-                       "name (core::PolicyFactory) instead")
             if not sysfs_exempt and SYSFS_PATH_RE.search(strline):
                 yield (rel, lineno, "naked-sysfs-path",
                        "naked intel_uncore_frequency sysfs path outside the "
