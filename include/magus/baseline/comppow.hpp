@@ -100,11 +100,4 @@ class CompPowController final : public core::IPolicy {
   std::vector<common::Ghz> domain_target_;
 };
 
-/// Self-registration anchor for the "comppow" PolicyFactory entry (defined
-/// in comppow.cpp); see core/policy_factory.hpp for why headers carry these.
-int register_comppow_policy();
-namespace {
-[[maybe_unused]] const int kCompPowPolicyAnchor = register_comppow_policy();
-}
-
 }  // namespace magus::baseline

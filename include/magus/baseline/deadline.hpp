@@ -92,11 +92,4 @@ class DeadlineController final : public core::IPolicy {
   std::vector<common::Ghz> domain_target_;
 };
 
-/// Self-registration anchor for the "deadline" PolicyFactory entry (defined
-/// in deadline.cpp); see core/policy_factory.hpp for why headers carry these.
-int register_deadline_policy();
-namespace {
-[[maybe_unused]] const int kDeadlinePolicyAnchor = register_deadline_policy();
-}
-
 }  // namespace magus::baseline

@@ -77,11 +77,4 @@ class DufController final : public core::IPolicy {
   std::vector<common::Ghz> domain_target_;
 };
 
-/// Self-registration anchor for the "duf" PolicyFactory entry (defined in
-/// duf.cpp); see core/policy_factory.hpp for why headers carry these.
-int register_duf_policy();
-namespace {
-[[maybe_unused]] const int kDufPolicyAnchor = register_duf_policy();
-}
-
 }  // namespace magus::baseline

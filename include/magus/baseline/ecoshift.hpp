@@ -94,11 +94,4 @@ class EcoShiftController final : public core::IPolicy {
   std::vector<common::Ghz> domain_target_;
 };
 
-/// Self-registration anchor for the "ecoshift" PolicyFactory entry (defined
-/// in ecoshift.cpp); see core/policy_factory.hpp for why headers carry these.
-int register_ecoshift_policy();
-namespace {
-[[maybe_unused]] const int kEcoShiftPolicyAnchor = register_ecoshift_policy();
-}
-
 }  // namespace magus::baseline

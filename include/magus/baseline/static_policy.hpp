@@ -45,12 +45,4 @@ class StaticUncorePolicy final : public core::IPolicy {
   common::Ghz target_;
 };
 
-/// Self-registration anchor for the "default", "static", "static_min", and
-/// "static_max" PolicyFactory entries (defined in static_policy.cpp); see
-/// core/policy_factory.hpp for why headers carry these.
-int register_static_policies();
-namespace {
-[[maybe_unused]] const int kStaticPolicyAnchor = register_static_policies();
-}
-
 }  // namespace magus::baseline

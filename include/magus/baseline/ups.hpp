@@ -99,11 +99,4 @@ class UpsController final : public core::IPolicy {
   std::vector<double> socket_best_ipc_;
 };
 
-/// Self-registration anchor for the "ups" PolicyFactory entry (defined in
-/// ups.cpp); see core/policy_factory.hpp for why headers carry these.
-int register_ups_policy();
-namespace {
-[[maybe_unused]] const int kUpsPolicyAnchor = register_ups_policy();
-}
-
 }  // namespace magus::baseline

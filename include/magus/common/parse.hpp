@@ -1,9 +1,9 @@
 #pragma once
-// Strict string -> value parsers for external input (CLI flags, manifest
-// fields). The std::sto* family skips leading whitespace, accepts signs and
-// trailing garbage, and throws bare std::invalid_argument/out_of_range;
-// these helpers reject all of that and throw ConfigError naming the
-// offending token.
+// Strict string -> value parsers for external input (CLI flags, daemon query
+// parameters, manifest fields). The std::sto* family skips leading
+// whitespace, accepts signs and trailing garbage, and throws bare
+// std::invalid_argument/out_of_range; these helpers reject all of that and
+// throw ConfigError naming the offending token.
 
 #include <charconv>
 #include <cmath>
@@ -86,6 +86,18 @@ inline int parse_int_in_range(const std::string& tok, int lo, int hi) {
                       std::to_string(hi) + "]");
   }
   return static_cast<int>(v);
+}
+
+/// Apply `parse` to `tok`, prefixing a ConfigError with `name` so the message
+/// says which flag, query parameter, or field was bad ("--seed: invalid
+/// unsigned 64-bit integer 'abc'").
+template <class Parse>
+auto parse_named(const std::string& name, const std::string& tok, Parse parse) {
+  try {
+    return parse(tok);
+  } catch (const ConfigError& e) {
+    throw ConfigError(name + ": " + e.what());
+  }
 }
 
 }  // namespace magus::common

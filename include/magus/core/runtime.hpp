@@ -167,14 +167,4 @@ class MagusRuntime final : public IPolicy {
   bool last_hf_ = false;
 };
 
-/// Self-registration anchor for the "magus" PolicyFactory entry (defined in
-/// runtime.cpp). The internal-linkage initializer below runs in every TU
-/// that includes this header, forcing the registrar's archive member into
-/// the link — without it a static-library build could silently drop the
-/// registration.
-int register_magus_policy();
-namespace {
-[[maybe_unused]] const int kMagusPolicyAnchor = register_magus_policy();
-}
-
 }  // namespace magus::core

@@ -2,11 +2,11 @@
 // Batched experiment wiring: the BatchEngine counterpart of exp::run_policy.
 //
 // A BatchRun collects (system, workload, policy, options) jobs, binds each
-// job's factory-made policy and fault decorators to its batch lane through
-// exp::bind_policy -- the same function run_policy binds a SimEngine with --
-// then advances every lane through the shared lane storage. Per job the
-// output is bit-identical to run_policy on the same inputs (minus traces,
-// which the batch path never records).
+// job's policy (built from the core::PolicyFactory table) and fault
+// decorators to its batch lane through exp::bind_policy -- the same function
+// run_policy binds a SimEngine with -- then advances every lane through the
+// shared lane storage. Per job the output is bit-identical to run_policy on
+// the same inputs (minus traces, which the batch path never records).
 
 #include <cstddef>
 #include <deque>
@@ -24,11 +24,12 @@ class BatchRun {
   BatchRun(const BatchRun&) = delete;
   BatchRun& operator=(const BatchRun&) = delete;
 
-  /// Queue one job; returns its index. Policy names resolve through
-  /// core::PolicyFactory::instance() like run_policy; a throwing maker (or
-  /// invalid options) propagates out of this call. opts.engine.record_traces
-  /// must be false; engine-level telemetry (opts.metrics on the engine) is
-  /// not supported, but policy-level metrics/events pass through unchanged.
+  /// Queue one job; returns its index. Policy names are looked up in the
+  /// core::PolicyFactory table like run_policy; an unknown name, a maker
+  /// that throws, or invalid options propagate out of this call.
+  /// opts.engine.record_traces must be false; engine-level telemetry
+  /// (opts.metrics on the engine) is not supported, but policy-level
+  /// metrics/events pass through unchanged.
   std::size_t add(const sim::SystemSpec& system, const wl::PhaseProgram& workload,
                   const std::string& policy, const RunOptions& opts);
 

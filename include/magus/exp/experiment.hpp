@@ -1,18 +1,13 @@
 #pragma once
 // Single-run experiment wiring: system preset x workload x policy -> result.
 //
-// Policies are constructed by name through core::PolicyFactory. This is the
-// only place that binds factory-made policies to the simulator backends;
+// Policies are constructed by name from the core::PolicyFactory table. This
+// is the only place that binds those policies to the simulator backends;
 // benches and tests go through here so every figure uses identical wiring.
 
 #include <memory>
 #include <string>
 
-#include "magus/baseline/comppow.hpp"
-#include "magus/baseline/deadline.hpp"
-#include "magus/baseline/duf.hpp"
-#include "magus/baseline/ecoshift.hpp"
-#include "magus/baseline/static_policy.hpp"
 #include "magus/baseline/ups.hpp"
 #include "magus/common/quantity.hpp"
 #include "magus/core/config.hpp"
@@ -39,10 +34,6 @@ struct RunOptions {
   sim::EngineConfig engine;
   core::MagusConfig magus;
   baseline::UpsConfig ups;
-  baseline::DufConfig duf;
-  baseline::EcoShiftConfig ecoshift;
-  baseline::DeadlineConfig deadline;
-  baseline::CompPowConfig comppow;
   common::Ghz static_ghz{0.0};  ///< pin target for the "static" policy
   /// Per-node power-cap schedule the cap-aware policies (ecoshift, comppow)
   /// read; inactive (the default) means uncapped and those policies are
@@ -94,8 +85,8 @@ struct PolicyBinding {
                                           fault::FaultStats& faults);
 
 /// Run one workload under one named policy on one system. Policy names are
-/// resolved through core::PolicyFactory::instance(); unknown names throw
-/// common::ConfigError listing every registered policy.
+/// looked up in the core::PolicyFactory table; unknown names throw
+/// common::ConfigError listing every policy.
 [[nodiscard]] RunOutput run_policy(const sim::SystemSpec& system,
                                    const wl::PhaseProgram& workload,
                                    const std::string& policy, const RunOptions& opts = {});

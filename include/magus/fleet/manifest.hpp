@@ -193,7 +193,7 @@ class FleetManifest {
 
 /// Deterministic synthetic fleet for demos, smoke tests, and benchmarks:
 /// `nodes` nodes drawn round-robin over the system presets, the Table 1
-/// workload catalog, and the registered runtime policies (plus a slice of
+/// workload catalog, and the runtime rows of the policy table (plus a slice of
 /// default-policy nodes so rollups always have an in-fleet reference).
 /// Same (nodes, seed) always yields the same manifest.
 [[nodiscard]] FleetManifest synth_fleet(int nodes, std::uint64_t seed);

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
-#include <memory>
-
-#include "magus/core/policy_factory.hpp"
 
 namespace magus::baseline {
 
@@ -159,27 +156,6 @@ void CompPowController::on_sample(common::Seconds now) {
   } else {
     sample_node(now);
   }
-}
-
-int register_comppow_policy() {
-  static const bool done = [] {
-    core::PolicyFactory::instance().register_policy(
-        "comppow",
-        [](const core::PolicyContext& ctx) -> std::unique_ptr<core::IPolicy> {
-          core::require_backend(ctx.mem_counter, "comppow",
-                                "a memory-throughput counter");
-          core::require_backend(ctx.energy_counter, "comppow", "an energy counter");
-          core::require_backend(ctx.msr, "comppow", "an MSR device");
-          core::require_backend(ctx.ladder, "comppow", "an uncore frequency ladder");
-          return std::make_unique<CompPowController>(
-              *ctx.mem_counter, *ctx.energy_counter, *ctx.msr, *ctx.ladder,
-              ctx.comppow ? *ctx.comppow : CompPowConfig{}, ctx.power_cap, ctx.domains);
-        },
-        "component-level split of the node cap between core and uncore power",
-        /*is_runtime=*/true);
-    return true;
-  }();
-  return done ? 1 : 0;
 }
 
 }  // namespace magus::baseline

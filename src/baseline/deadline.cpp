@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
-
-#include "magus/core/policy_factory.hpp"
 
 namespace magus::baseline {
 
@@ -140,26 +137,6 @@ void DeadlineController::on_sample(common::Seconds now) {
   } else {
     sample_node(now);
   }
-}
-
-int register_deadline_policy() {
-  static const bool done = [] {
-    core::PolicyFactory::instance().register_policy(
-        "deadline",
-        [](const core::PolicyContext& ctx) -> std::unique_ptr<core::IPolicy> {
-          core::require_backend(ctx.mem_counter, "deadline",
-                                "a memory-throughput counter");
-          core::require_backend(ctx.msr, "deadline", "an MSR device");
-          core::require_backend(ctx.ladder, "deadline", "an uncore frequency ladder");
-          return std::make_unique<DeadlineController>(
-              *ctx.mem_counter, *ctx.msr, *ctx.ladder,
-              ctx.deadline ? *ctx.deadline : DeadlineConfig{}, ctx.domains);
-        },
-        "data-driven frequency selection against a slowdown bound (Ilager et al.)",
-        /*is_runtime=*/true);
-    return true;
-  }();
-  return done ? 1 : 0;
 }
 
 }  // namespace magus::baseline

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
-
-#include "magus/core/policy_factory.hpp"
 
 namespace magus::baseline {
 
@@ -124,24 +121,6 @@ void DufController::on_sample(common::Seconds now) {
     target_ = next;
     if (cfg_.scaling_enabled) uncore_.set_max_ghz_all(target_.value());
   }
-}
-
-int register_duf_policy() {
-  static const bool done = [] {
-    core::PolicyFactory::instance().register_policy(
-        "duf",
-        [](const core::PolicyContext& ctx) -> std::unique_ptr<core::IPolicy> {
-          core::require_backend(ctx.mem_counter, "duf", "a memory-throughput counter");
-          core::require_backend(ctx.msr, "duf", "an MSR device");
-          core::require_backend(ctx.ladder, "duf", "an uncore frequency ladder");
-          return std::make_unique<DufController>(*ctx.mem_counter, *ctx.msr, *ctx.ladder,
-                                                 ctx.duf ? *ctx.duf : DufConfig{},
-                                                 ctx.domains);
-        },
-        "bandwidth-utilisation ladder walker (Andre et al. '22)", /*is_runtime=*/true);
-    return true;
-  }();
-  return done ? 1 : 0;
 }
 
 }  // namespace magus::baseline

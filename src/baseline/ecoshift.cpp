@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
-
-#include "magus/core/policy_factory.hpp"
 
 namespace magus::baseline {
 
@@ -180,28 +177,6 @@ void EcoShiftController::on_sample(common::Seconds now) {
   } else {
     sample_node(now);
   }
-}
-
-int register_ecoshift_policy() {
-  static const bool done = [] {
-    core::PolicyFactory::instance().register_policy(
-        "ecoshift",
-        [](const core::PolicyContext& ctx) -> std::unique_ptr<core::IPolicy> {
-          core::require_backend(ctx.mem_counter, "ecoshift",
-                                "a memory-throughput counter");
-          core::require_backend(ctx.energy_counter, "ecoshift", "an energy counter");
-          core::require_backend(ctx.msr, "ecoshift", "an MSR device");
-          core::require_backend(ctx.ladder, "ecoshift", "an uncore frequency ladder");
-          return std::make_unique<EcoShiftController>(
-              *ctx.mem_counter, *ctx.energy_counter, *ctx.msr, *ctx.ladder,
-              ctx.ecoshift ? *ctx.ecoshift : EcoShiftConfig{}, ctx.power_cap,
-              ctx.domains);
-        },
-        "performance-aware throttling under a per-node power cap (EcoShift)",
-        /*is_runtime=*/true);
-    return true;
-  }();
-  return done ? 1 : 0;
 }
 
 }  // namespace magus::baseline

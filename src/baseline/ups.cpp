@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstddef>
 
-#include "magus/core/policy_factory.hpp"
-
 namespace magus::baseline {
 
 UpsController::UpsController(hw::IEnergyCounter& energy, hw::ICoreCounters& cores,
@@ -168,26 +166,6 @@ void UpsController::sample_domains(common::Seconds now, const Snapshot& cur, dou
     if (g.value() < lo.value()) lo = g;
   }
   target_ = lo;
-}
-
-int register_ups_policy() {
-  static const bool done = [] {
-    core::PolicyFactory::instance().register_policy(
-        "ups",
-        [](const core::PolicyContext& ctx) -> std::unique_ptr<core::IPolicy> {
-          core::require_backend(ctx.energy_counter, "ups", "an energy counter");
-          core::require_backend(ctx.core_counters, "ups", "per-core counters");
-          core::require_backend(ctx.msr, "ups", "an MSR device");
-          core::require_backend(ctx.ladder, "ups", "an uncore frequency ladder");
-          return std::make_unique<UpsController>(*ctx.energy_counter, *ctx.core_counters,
-                                                 *ctx.msr, *ctx.ladder,
-                                                 ctx.ups ? *ctx.ups : UpsConfig{},
-                                                 ctx.domains);
-        },
-        "Uncore Power Scavenger baseline (Gholkar et al. SC'19)", /*is_runtime=*/true);
-    return true;
-  }();
-  return done ? 1 : 0;
 }
 
 }  // namespace magus::baseline

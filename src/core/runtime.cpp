@@ -6,7 +6,6 @@
 
 #include "magus/common/error.hpp"
 #include "magus/common/thread_annotations.hpp"
-#include "magus/core/policy_factory.hpp"
 #include "magus/telemetry/event_log.hpp"
 #include "magus/telemetry/registry.hpp"
 
@@ -442,26 +441,6 @@ void MagusRuntime::note_sample(common::Seconds now,
     }
     last_hf_ = hf;
   }
-}
-
-int register_magus_policy() {
-  static const bool done = [] {
-    PolicyFactory::instance().register_policy(
-        "magus",
-        [](const PolicyContext& ctx) -> std::unique_ptr<IPolicy> {
-          require_backend(ctx.mem_counter, "magus", "a memory-throughput counter");
-          require_backend(ctx.msr, "magus", "an MSR device");
-          require_backend(ctx.ladder, "magus", "an uncore frequency ladder");
-          auto magus = std::make_unique<MagusRuntime>(
-              *ctx.mem_counter, *ctx.msr, *ctx.ladder,
-              ctx.magus ? *ctx.magus : MagusConfig{}, ctx.domains);
-          if (ctx.metrics) magus->attach_telemetry(*ctx.metrics, ctx.events);
-          return magus;
-        },
-        "the paper's adaptive uncore-scaling runtime (MDFS)", /*is_runtime=*/true);
-    return true;
-  }();
-  return done ? 1 : 0;
 }
 
 }  // namespace magus::core

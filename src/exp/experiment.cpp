@@ -34,10 +34,6 @@ sim::PolicyHook bind_policy(PolicyBinding& binding, sim::LaneBackends& hw,
   }
   ctx.magus = &opts.magus;
   ctx.ups = &opts.ups;
-  ctx.duf = &opts.duf;
-  ctx.ecoshift = &opts.ecoshift;
-  ctx.deadline = &opts.deadline;
-  ctx.comppow = &opts.comppow;
   ctx.static_ghz = opts.static_ghz;
   ctx.power_cap = &opts.power_cap;
   ctx.metrics = opts.metrics;

@@ -1,5 +1,6 @@
 #include "magus/fleet/manifest.hpp"
 
+#include <cmath>
 #include <cstddef>
 #include <fstream>
 #include <limits>
@@ -58,11 +59,12 @@ std::vector<std::string> NodeSpec::validate(const std::string& prefix) const {
   }
   if (gpus_ < 1) add("gpus must be >= 1 (got " + std::to_string(gpus_) + ")");
   if (dies_ < 1) add("dies must be >= 1 (got " + std::to_string(dies_) + ")");
-  if (numa_skew_ < 0.0 || numa_skew_ >= 1.0) {
+  // Negated in-range tests, so NaN fails them too.
+  if (!(numa_skew_ >= 0.0 && numa_skew_ < 1.0)) {
     add("numa_skew must be in [0, 1) (got " + std::to_string(numa_skew_) + ")");
   }
-  if (power_cap_w_ < 0.0) {
-    add("power_cap_w must be >= 0 (got " + std::to_string(power_cap_w_) + ")");
+  if (!(power_cap_w_ >= 0.0 && std::isfinite(power_cap_w_))) {
+    add("power_cap_w must be finite and >= 0 (got " + std::to_string(power_cap_w_) + ")");
   }
   if (count_ < 1) add("count must be >= 1 (got " + std::to_string(count_) + ")");
   if (policy_ == "static" && static_uncore_ <= common::Ghz(0.0)) {
@@ -77,12 +79,12 @@ std::vector<std::string> FleetManifest::validate() const {
     errors.push_back("shard_size must be >= 1 (got " + std::to_string(shard_size_) + ")");
   }
   if (nodes_.empty()) errors.push_back("fleet has no nodes");
-  if (power_budget_w_ < 0.0) {
-    errors.push_back("power_budget_w must be >= 0 (got " +
+  if (!(power_budget_w_ >= 0.0 && std::isfinite(power_budget_w_))) {
+    errors.push_back("power_budget_w must be finite and >= 0 (got " +
                      std::to_string(power_budget_w_) + ")");
   }
-  if (budget_epoch_s_ <= 0.0) {
-    errors.push_back("budget_epoch_s must be > 0 (got " +
+  if (!(budget_epoch_s_ > 0.0 && std::isfinite(budget_epoch_s_))) {
+    errors.push_back("budget_epoch_s must be finite and > 0 (got " +
                      std::to_string(budget_epoch_s_) + ")");
   }
   try {
@@ -284,8 +286,8 @@ FleetManifest synth_fleet(int nodes, std::uint64_t seed) {
   std::vector<std::string> apps;
   for (const wl::AppInfo& info : wl::app_catalog()) apps.push_back(info.name);
 
-  // Runtime policies from the registry (sorted by names()), so a newly
-  // registered runtime automatically joins the mix. Every 4th node stays on
+  // Runtime policies from the policy table (sorted by names()), so a new
+  // runtime row automatically joins the mix. Every 4th node stays on
   // "default" to keep an in-fleet reference population.
   const auto& factory = core::PolicyFactory::instance();
   std::vector<std::string> runtimes;

@@ -12,7 +12,7 @@ std::size_t LaneStore::add_lane(const SystemSpec& spec, std::uint64_t noise_seed
   if (spec.cpu.dies_per_socket < 1) {
     throw common::ConfigError("LaneStore: dies_per_socket must be >= 1");
   }
-  if (spec.numa_skew < 0.0 || spec.numa_skew >= 1.0) {
+  if (!(spec.numa_skew >= 0.0 && spec.numa_skew < 1.0)) {
     throw common::ConfigError("LaneStore: numa_skew must be in [0, 1)");
   }
   if (spec.cpu.sockets * spec.cpu.dies_per_socket > kern::kMaxDomains) {

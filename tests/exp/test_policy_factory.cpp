@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
-#include "magus/baseline/static_policy.hpp"
 #include "magus/common/error.hpp"
 #include "magus/core/policy_factory.hpp"
 #include "magus/exp/experiment.hpp"
@@ -34,14 +36,24 @@ struct ContextRig {
 
 }  // namespace
 
-TEST(PolicyFactory, BuiltinsSelfRegister) {
+TEST(PolicyFactory, TableListsTheTenBuiltinsInOrder) {
+  // fleet::synth_fleet draws its policy mix by index into names(), so this
+  // order is part of every synthetic fleet's identity.
   const auto& factory = mc::PolicyFactory::instance();
-  for (const char* name : {"default", "static", "static_min", "static_max", "magus",
-                           "ups", "duf"}) {
+  const std::vector<std::pair<std::string, bool>> expected = {
+      {"comppow", true}, {"deadline", true},    {"default", false},
+      {"duf", true},     {"ecoshift", true},    {"magus", true},
+      {"static", false}, {"static_max", false}, {"static_min", false},
+      {"ups", true}};
+  std::vector<std::string> expected_names;
+  for (const auto& [name, runtime] : expected) {
+    expected_names.push_back(name);
+    EXPECT_EQ(factory.is_runtime(name), runtime) << name;
     EXPECT_TRUE(factory.has(name)) << name;
     EXPECT_FALSE(factory.summary(name).empty()) << name;
   }
-  EXPECT_GE(factory.size(), 7u);
+  EXPECT_EQ(factory.names(), expected_names);
+  EXPECT_EQ(factory.size(), expected.size());
 }
 
 TEST(PolicyFactory, RuntimeFlagSeparatesMonitoredPolicies) {
@@ -81,28 +93,6 @@ TEST(PolicyFactory, UnknownNameListsRegisteredPolicies) {
       EXPECT_NE(what.find(name), std::string::npos) << what;
     }
   }
-}
-
-TEST(PolicyFactory, DuplicateRegistrationRejected) {
-  mc::PolicyFactory factory;  // private instance; the global one stays clean
-  auto maker = [](const mc::PolicyContext&) -> std::unique_ptr<mc::IPolicy> {
-    return std::make_unique<magus::baseline::DefaultPolicy>();
-  };
-  factory.register_policy("twice", maker, "first", false);
-  EXPECT_THROW(factory.register_policy("twice", maker, "second", false),
-               magus::common::ConfigError);
-  EXPECT_EQ(factory.summary("twice"), "first");
-}
-
-TEST(PolicyFactory, EmptyNameAndNullMakerRejected) {
-  mc::PolicyFactory factory;
-  auto maker = [](const mc::PolicyContext&) -> std::unique_ptr<mc::IPolicy> {
-    return std::make_unique<magus::baseline::DefaultPolicy>();
-  };
-  EXPECT_THROW(factory.register_policy("", maker, "", false),
-               magus::common::ConfigError);
-  EXPECT_THROW(factory.register_policy("null_maker", nullptr, "", false),
-               magus::common::ConfigError);
 }
 
 TEST(PolicyFactory, MissingBackendNamedInError) {

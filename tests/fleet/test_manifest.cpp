@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -52,6 +53,21 @@ TEST(NodeSpec, ValidatesDomainKnobs) {
   EXPECT_NE(overflow[0].find("exceeds"), std::string::npos);
 }
 
+TEST(NodeSpec, NonFiniteKnobsRejected) {
+  // The builder API bypasses the strict JSONL parser, so validate() itself
+  // must reject NaN (which fails every ordered comparison) and infinities.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    mf::NodeSpec node;
+    node.numa_skew(bad).power_cap_w(bad);
+    const auto errors = node.validate();
+    ASSERT_EQ(errors.size(), 2u) << bad;
+    EXPECT_NE(errors[0].find("numa_skew"), std::string::npos) << errors[0];
+    EXPECT_NE(errors[1].find("power_cap_w"), std::string::npos) << errors[1];
+  }
+}
+
 TEST(NodeSpec, StaticPolicyNeedsPinFrequency) {
   mf::NodeSpec node;
   node.policy("static");
@@ -70,6 +86,21 @@ TEST(FleetManifest, ValidateCollectsAcrossNodes) {
   const auto errors = manifest.validate();
   ASSERT_EQ(errors.size(), 3u);  // shard_size, unknown app, duplicate name
   EXPECT_THROW(manifest.validate_or_throw(), magus::common::ConfigError);
+}
+
+TEST(FleetManifest, NonFiniteBudgetRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    mf::FleetManifest manifest;
+    manifest.add_node(mf::NodeSpec{}.name("a"));
+    manifest.power_budget_w(bad).budget_epoch_s(bad);
+    const auto errors = manifest.validate();
+    ASSERT_EQ(errors.size(), 2u) << bad;
+    EXPECT_NE(errors[0].find("power_budget_w"), std::string::npos) << errors[0];
+    EXPECT_NE(errors[1].find("budget_epoch_s"), std::string::npos) << errors[1];
+    EXPECT_THROW(manifest.validate_or_throw(), magus::common::ConfigError);
+  }
 }
 
 TEST(FleetManifest, EmptyFleetRejected) {

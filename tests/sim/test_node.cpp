@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "magus/common/error.hpp"
 #include "magus/sim/node.hpp"
 
 namespace ms = magus::sim;
@@ -134,5 +136,16 @@ TEST(NodeModel, GovernorsFollowClosedFormAtAnyDt) {
         spec.gpu.base_clock_ghz + (spec.gpu.max_clock_ghz - spec.gpu.base_clock_ghz) * boost;
     const double gpu_alpha = 1.0 - std::exp(-dt / ms::kern::kGpuGovernorTau);
     EXPECT_EQ(node.gpu().clock_ghz, c0 + (gpu_target - c0) * gpu_alpha) << "dt=" << dt;
+  }
+}
+
+TEST(NodeModel, RejectsNonFiniteNumaSkew) {
+  // NaN fails every ordered comparison, so the range check must be a negated
+  // in-range test to catch it.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 1.0, -0.1}) {
+    ms::SystemSpec spec = ms::intel_a100();
+    spec.numa_skew = bad;
+    EXPECT_THROW(ms::NodeModel(spec, 42), mc::ConfigError) << bad;
   }
 }

@@ -1,7 +1,6 @@
 // Negative-compile test (Clang -Wthread-safety -Werror): calling a
 // MAGUS_REQUIRES(mu) helper without holding `mu` must not compile. This is
-// the fetch_or_create / entry_or_throw pattern used by MetricsRegistry and
-// PolicyFactory.
+// the fetch_or_create pattern used by MetricsRegistry.
 #include "magus/common/thread_annotations.hpp"
 
 namespace {

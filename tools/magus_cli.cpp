@@ -28,13 +28,16 @@
 //
 // Exit codes: 0 ok, 1 usage error, 2 runtime error.
 
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 
 #include "magus/common/error.hpp"
+#include "magus/common/parse.hpp"
 #include "magus/core/policy_factory.hpp"
 #include "magus/common/table.hpp"
 #include "magus/common/thread_pool.hpp"
@@ -52,7 +55,7 @@ int usage() {
   std::cerr << "usage:\n"
             << "  magus-cli list\n"
             << "  magus-cli run --system <name> --app <name|file.csv> --policy <name>\n"
-            << "                (policy names come from the registry; `magus-cli list` "
+            << "                (policy names come from the policy table; `magus-cli list` "
                "shows them)\n"
             << "                [--reps N] [--seed S] [--gpus N] [--jobs N] "
                "[--trace out.csv]\n"
@@ -79,8 +82,10 @@ int usage() {
   return 1;
 }
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv, int from) {
-  std::map<std::string, std::string> flags;
+using Flags = std::map<std::string, std::string>;
+
+Flags parse_flags(int argc, char** argv, int from) {
+  Flags flags;
   for (int i = from; i + 1 < argc; i += 2) {
     if (std::strncmp(argv[i], "--", 2) != 0) {
       throw common::ConfigError(std::string("expected flag, got '") + argv[i] + "'");
@@ -88,6 +93,23 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv, int from) 
     flags[argv[i] + 2] = argv[i + 1];
   }
   return flags;
+}
+
+// Numeric flags go through the strict parsers; a bad value is a ConfigError
+// naming the flag ("--seed: invalid unsigned 64-bit integer 'abc'").
+std::uint64_t u64_flag(const Flags& flags, const std::string& name) {
+  return common::parse_named("--" + name, flags.at(name), common::parse_u64);
+}
+
+double real_flag(const Flags& flags, const std::string& name) {
+  return common::parse_named("--" + name, flags.at(name), common::parse_finite_double);
+}
+
+/// A count: an integer >= 1.
+int count_flag(const Flags& flags, const std::string& name) {
+  return common::parse_named("--" + name, flags.at(name), [](const std::string& v) {
+    return common::parse_int_in_range(v, 1, std::numeric_limits<int>::max());
+  });
 }
 
 int cmd_list() {
@@ -115,16 +137,14 @@ int cmd_list() {
 
 /// Apply --jobs (CLI wins over the MAGUS_JOBS env var, which default_pool
 /// honors on its own) and report the effective worker count.
-std::size_t configure_jobs(const std::map<std::string, std::string>& flags) {
+std::size_t configure_jobs(const Flags& flags) {
   if (flags.count("jobs")) {
-    const int jobs = std::stoi(flags.at("jobs"));
-    if (jobs < 1) throw common::ConfigError("--jobs must be >= 1");
-    common::set_default_jobs(static_cast<std::size_t>(jobs));
+    common::set_default_jobs(static_cast<std::size_t>(count_flag(flags, "jobs")));
   }
   return common::default_pool().size();
 }
 
-int cmd_run(const std::map<std::string, std::string>& flags) {
+int cmd_run(const Flags& flags) {
   const auto system = sim::system_by_name(flags.at("system"));
   const std::string app = flags.at("app");
   const std::string policy = flags.at("policy");
@@ -135,14 +155,14 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
   const std::size_t workers = configure_jobs(flags);
 
   exp::RepeatSpec reps;
-  if (flags.count("reps")) reps.repetitions = std::stoi(flags.at("reps"));
-  if (flags.count("seed")) reps.seed = std::stoull(flags.at("seed"));
+  if (flags.count("reps")) reps.repetitions = count_flag(flags, "reps");
+  if (flags.count("seed")) reps.seed = u64_flag(flags, "seed");
 
   wl::PhaseProgram program = app.size() > 4 && app.substr(app.size() - 4) == ".csv"
                                   ? wl::load_program_csv(app)
                                   : wl::make_workload(app);
   if (flags.count("gpus")) {
-    program = wl::scale_for_gpus(program, std::stoi(flags.at("gpus")));
+    program = wl::scale_for_gpus(program, count_flag(flags, "gpus"));
   }
 
   std::cout << "running " << app << " on " << system.name << " (policy "
@@ -206,7 +226,7 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_fleet(const std::map<std::string, std::string>& flags) {
+int cmd_fleet(const Flags& flags) {
   const std::size_t workers = configure_jobs(flags);
   // `--out -` streams the canonical rollup JSONL to stdout; every human
   // line (banner, tables, summary, warnings) then goes to stderr so the
@@ -218,24 +238,19 @@ int cmd_fleet(const std::map<std::string, std::string>& flags) {
   if (flags.count("manifest")) {
     manifest = fleet::FleetManifest::load(flags.at("manifest"));
   } else {
-    const int nodes = flags.count("nodes") ? std::stoi(flags.at("nodes")) : 256;
-    const std::uint64_t seed =
-        flags.count("seed") ? std::stoull(flags.at("seed")) : 2025ull;
+    const int nodes = flags.count("nodes") ? count_flag(flags, "nodes") : 256;
+    const std::uint64_t seed = flags.count("seed") ? u64_flag(flags, "seed") : 2025ull;
     manifest = fleet::synth_fleet(nodes, seed);
   }
-  if (flags.count("shard-size")) manifest.shard_size(std::stoi(flags.at("shard-size")));
+  if (flags.count("shard-size")) manifest.shard_size(count_flag(flags, "shard-size"));
   // Fault flags override whatever the manifest carries, so a saved fleet can
   // be replayed under different fault weather.
-  if (flags.count("fault-rate")) manifest.fault_rate(std::stod(flags.at("fault-rate")));
-  if (flags.count("fault-seed")) manifest.fault_seed(std::stoull(flags.at("fault-seed")));
+  if (flags.count("fault-rate")) manifest.fault_rate(real_flag(flags, "fault-rate"));
+  if (flags.count("fault-seed")) manifest.fault_seed(u64_flag(flags, "fault-seed"));
   // Fleet power budgeting: a global Watts budget water-filled across nodes
   // per epoch of simulated time (fleet/allocator.hpp).
-  if (flags.count("power-budget")) {
-    manifest.power_budget_w(std::stod(flags.at("power-budget")));
-  }
-  if (flags.count("budget-epoch")) {
-    manifest.budget_epoch_s(std::stod(flags.at("budget-epoch")));
-  }
+  if (flags.count("power-budget")) manifest.power_budget_w(real_flag(flags, "power-budget"));
+  if (flags.count("budget-epoch")) manifest.budget_epoch_s(real_flag(flags, "budget-epoch"));
   // Node knobs rewrite every node, same override semantics as the fault
   // flags: a saved manifest can be replayed under a different policy, a
   // per-node cap, more dies per socket, or a NUMA-skewed traffic split
@@ -244,9 +259,9 @@ int cmd_fleet(const std::map<std::string, std::string>& flags) {
       flags.count("numa-skew")) {
     manifest.mutate_nodes([&flags](fleet::NodeSpec& node) {
       if (flags.count("policy")) node.policy(flags.at("policy"));
-      if (flags.count("power-cap")) node.power_cap_w(std::stod(flags.at("power-cap")));
-      if (flags.count("dies")) node.dies(std::stoi(flags.at("dies")));
-      if (flags.count("numa-skew")) node.numa_skew(std::stod(flags.at("numa-skew")));
+      if (flags.count("power-cap")) node.power_cap_w(real_flag(flags, "power-cap"));
+      if (flags.count("dies")) node.dies(count_flag(flags, "dies"));
+      if (flags.count("numa-skew")) node.numa_skew(real_flag(flags, "numa-skew"));
     });
   }
   if (flags.count("save-manifest")) manifest.save(flags.at("save-manifest"));
@@ -347,10 +362,9 @@ int cmd_fleet(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_overhead(const std::map<std::string, std::string>& flags) {
+int cmd_overhead(const Flags& flags) {
   const auto system = sim::system_by_name(flags.at("system"));
-  const double duration =
-      flags.count("duration") ? std::stod(flags.at("duration")) : 600.0;
+  const double duration = flags.count("duration") ? real_flag(flags, "duration") : 600.0;
   const auto r = exp::measure_overhead(system, duration);
   std::cout << "system " << r.system << " (idle " << common::TextTable::num(r.idle_power_w, 1)
             << " W)\n"

@@ -234,8 +234,8 @@ class FleetService {
   };
 
   static std::string query_param(const std::string& query, const std::string& key) {
-    // key=value pairs separated by '&'; values are plain integers here, so
-    // no percent-decoding is needed.
+    // key=value pairs separated by '&'; values are plain numbers or policy
+    // names here, so no percent-decoding is needed.
     std::size_t pos = 0;
     while (pos < query.size()) {
       std::size_t amp = query.find('&', pos);
@@ -248,6 +248,16 @@ class FleetService {
       pos = amp + 1;
     }
     return "";
+  }
+
+  // Numeric query parameters go through the strict parsers, so a bad value
+  // is a ConfigError naming the parameter (and an HTTP 400), never a foreign
+  // exception.
+  static std::uint64_t u64_param(const std::string& key, const std::string& value) {
+    return common::parse_named(key, value, common::parse_u64);
+  }
+  static double real_param(const std::string& key, const std::string& value) {
+    return common::parse_named(key, value, common::parse_finite_double);
   }
 
   telemetry::HttpResponse submit(const telemetry::HttpRequest& req) MAGUS_EXCLUDES(mutex_) {
@@ -264,29 +274,34 @@ class FleetService {
           return res;
         }
         const std::string seed = query_param(req.query, "seed");
-        manifest = fleet::synth_fleet(common::parse_int(nodes),
-                                      seed.empty() ? 2025 : std::stoull(seed));
+        manifest = fleet::synth_fleet(common::parse_named("nodes", nodes, common::parse_int),
+                                      seed.empty() ? 2025 : u64_param("seed", seed));
       }
       // Fault weather applies to posted manifests too: query params override
       // whatever the manifest carries.
       const std::string fault_rate = query_param(req.query, "fault_rate");
-      if (!fault_rate.empty()) manifest.fault_rate(std::stod(fault_rate));
+      if (!fault_rate.empty()) manifest.fault_rate(real_param("fault_rate", fault_rate));
       const std::string fault_seed = query_param(req.query, "fault_seed");
-      if (!fault_seed.empty()) manifest.fault_seed(std::stoull(fault_seed));
+      if (!fault_seed.empty()) manifest.fault_seed(u64_param("fault_seed", fault_seed));
       // Power budgeting, same override contract: ?power_budget=W water-fills
       // a global budget per ?budget_epoch=S of simulated time; ?policy=NAME
       // and ?power_cap=W rewrite every node, so a stored fleet can be
       // replayed under a cap-aware comparator.
       const std::string power_budget = query_param(req.query, "power_budget");
-      if (!power_budget.empty()) manifest.power_budget_w(std::stod(power_budget));
+      if (!power_budget.empty()) {
+        manifest.power_budget_w(real_param("power_budget", power_budget));
+      }
       const std::string budget_epoch = query_param(req.query, "budget_epoch");
-      if (!budget_epoch.empty()) manifest.budget_epoch_s(std::stod(budget_epoch));
+      if (!budget_epoch.empty()) {
+        manifest.budget_epoch_s(real_param("budget_epoch", budget_epoch));
+      }
       const std::string policy = query_param(req.query, "policy");
       const std::string power_cap = query_param(req.query, "power_cap");
       if (!policy.empty() || !power_cap.empty()) {
+        const double cap_w = power_cap.empty() ? 0.0 : real_param("power_cap", power_cap);
         manifest.mutate_nodes([&](fleet::NodeSpec& node) {
           if (!policy.empty()) node.policy(policy);
-          if (!power_cap.empty()) node.power_cap_w(std::stod(power_cap));
+          if (!power_cap.empty()) node.power_cap_w(cap_w);
         });
       }
       manifest.validate_or_throw();
@@ -500,10 +515,14 @@ int run_real(const std::map<std::string, std::string>& flags) {
     return 2;
   }
 
-  const double interval =
-      flags.count("interval") ? std::stod(flags.at("interval")) : 0.2;
-  const double min_ghz = flags.count("min-ghz") ? std::stod(flags.at("min-ghz")) : 0.8;
-  const double max_ghz = flags.count("max-ghz") ? std::stod(flags.at("max-ghz")) : 2.2;
+  auto real_flag = [&flags](const std::string& name, double fallback) {
+    return flags.count(name) ? common::parse_named("--" + name, flags.at(name),
+                                                   common::parse_finite_double)
+                             : fallback;
+  };
+  const double interval = real_flag("interval", 0.2);
+  const double min_ghz = real_flag("min-ghz", 0.8);
+  const double max_ghz = real_flag("max-ghz", 2.2);
   const int max_failures = flags.count("max-sample-failures")
                                ? common::parse_int(flags.at("max-sample-failures"))
                                : 25;
