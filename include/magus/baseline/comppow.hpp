@@ -12,6 +12,7 @@
 // actuate. Without a cap the budget is unbounded and the controller is inert
 // at ladder max.
 
+#include <algorithm>
 #include <vector>
 
 #include "magus/common/quantity.hpp"
@@ -45,8 +46,8 @@ class CompPowController final : public core::IPolicy {
   /// `cap` (optional) is copied; null or inactive means uncapped (inert).
   /// `domains` (optional): more than one domain splits the uncore budget
   /// across domains in proportion to their traffic shares (every domain
-  /// keeps at least an even split's minimum-frequency cost). Null or one
-  /// domain budgets the node's domains as one pool.
+  /// keeps at least an even split's minimum-frequency cost). Otherwise the
+  /// whole node is the one domain (hw::UncoreDomains).
   CompPowController(hw::IMemThroughputCounter& mem_counter,
                     hw::IEnergyCounter& energy_counter, hw::IMsrDevice& msr,
                     const hw::UncoreFreqLadder& ladder, CompPowConfig cfg = {},
@@ -59,7 +60,10 @@ class CompPowController final : public core::IPolicy {
   void on_start(common::Seconds now) override;
   void on_sample(common::Seconds now) override;
 
-  [[nodiscard]] common::Ghz current_target() const noexcept { return target_; }
+  /// Lowest domain target (the node's target when the node is one domain).
+  [[nodiscard]] common::Ghz current_target() const noexcept {
+    return *std::min_element(target_.begin(), target_.end());
+  }
   [[nodiscard]] double last_utilization() const noexcept { return last_util_; }
   [[nodiscard]] double last_uncore_budget_w() const noexcept {
     return last_uncore_budget_w_;
@@ -69,35 +73,27 @@ class CompPowController final : public core::IPolicy {
   /// ladder min when even that does not fit.
   [[nodiscard]] double fit_ghz(double budget_w) const;
 
-  /// Domains under independent control (1 in node-level mode).
-  [[nodiscard]] int domain_count() const noexcept {
-    return domains_ ? static_cast<int>(domain_target_.size()) : 1;
-  }
+  [[nodiscard]] int domain_count() const noexcept { return static_cast<int>(target_.size()); }
   [[nodiscard]] common::Ghz domain_target(int domain) const noexcept {
-    return domains_ ? domain_target_[static_cast<std::size_t>(domain)] : target_;
+    return target_[static_cast<std::size_t>(domain)];
   }
 
  private:
-  void sample_node(common::Seconds now);
-  void sample_domains(common::Seconds now);
+  void prime(common::Seconds now);
 
   hw::IMemThroughputCounter& mem_counter_;
   hw::IEnergyCounter& energy_counter_;
-  hw::UncoreFreqController uncore_;
+  hw::UncoreDomains domains_;
   CompPowConfig cfg_;
   core::PowerCapSchedule cap_;
 
   bool primed_ = false;
   double prev_t_ = 0.0;
-  double prev_mb_ = 0.0;
-  common::Ghz target_;
   double last_util_ = 0.0;
   double last_uncore_budget_w_ = 0.0;
-
-  // Per-domain mode (domains_ non-null).
-  hw::IUncoreDomainSet* domains_ = nullptr;
-  std::vector<double> domain_prev_mb_;
-  std::vector<common::Ghz> domain_target_;
+  std::vector<double> prev_mb_;        ///< per-domain cumulative baseline
+  std::vector<double> delivered_;      ///< per-sample scratch, MB/s per domain
+  std::vector<common::Ghz> target_;    ///< per-domain target
 };
 
 }  // namespace magus::baseline

@@ -12,6 +12,7 @@
 // steps-per-ladder, but it trusts its model where DUF trusts only the last
 // sample.
 
+#include <algorithm>
 #include <vector>
 
 #include "magus/common/quantity.hpp"
@@ -40,9 +41,10 @@ struct DeadlineConfig {
 
 class DeadlineController final : public core::IPolicy {
  public:
-  /// `domains` (optional): more than one domain switches to per-domain mode
-  /// -- demand predicted and frequency selected per domain against its share
-  /// of the capacity model. Null or one domain keeps the node-level loop.
+  /// `domains` (optional): more than one domain makes the controller
+  /// predict demand and select a frequency per domain, against the domain's
+  /// share of the capacity model. Otherwise the whole node is the one domain
+  /// (hw::UncoreDomains).
   DeadlineController(hw::IMemThroughputCounter& mem_counter, hw::IMsrDevice& msr,
                      const hw::UncoreFreqLadder& ladder, DeadlineConfig cfg = {},
                      hw::IUncoreDomainSet* domains = nullptr);
@@ -53,43 +55,41 @@ class DeadlineController final : public core::IPolicy {
   void on_start(common::Seconds now) override;
   void on_sample(common::Seconds now) override;
 
-  [[nodiscard]] common::Ghz current_target() const noexcept { return target_; }
-  [[nodiscard]] double predicted_demand_mbps() const noexcept { return demand_mbps_; }
+  /// Lowest domain target (the node's target when the node is one domain).
+  [[nodiscard]] common::Ghz current_target() const noexcept {
+    return *std::min_element(target_.begin(), target_.end());
+  }
+  /// Predicted demand summed over the domains.
+  [[nodiscard]] double predicted_demand_mbps() const noexcept {
+    double sum = 0.0;
+    for (const double d : demand_mbps_) sum += d;
+    return sum;
+  }
   [[nodiscard]] double learned_capacity_mbps_per_ghz() const noexcept {
     return capacity_coef_;
   }
 
-  /// Domains under independent control (1 in node-level mode).
-  [[nodiscard]] int domain_count() const noexcept {
-    return domains_ ? static_cast<int>(domain_target_.size()) : 1;
-  }
+  [[nodiscard]] int domain_count() const noexcept { return static_cast<int>(target_.size()); }
   [[nodiscard]] common::Ghz domain_target(int domain) const noexcept {
-    return domains_ ? domain_target_[static_cast<std::size_t>(domain)] : target_;
+    return target_[static_cast<std::size_t>(domain)];
   }
 
  private:
-  /// Lowest ladder frequency whose capacity (coef * f) covers `needed_mbps`;
+  /// Lowest ladder frequency whose capacity (coef * f) covers `needed`;
   /// ladder max when nothing does.
-  [[nodiscard]] double select_ghz(double needed_mbps, double coef) const;
-  void sample_node(common::Seconds now);
-  void sample_domains(common::Seconds now);
+  [[nodiscard]] double select_ghz(common::Mbps needed, double coef) const;
+  void prime(common::Seconds now);
 
   hw::IMemThroughputCounter& mem_counter_;
-  hw::UncoreFreqController uncore_;
+  hw::UncoreDomains domains_;
   DeadlineConfig cfg_;
 
   bool primed_ = false;
   double prev_t_ = 0.0;
-  double prev_mb_ = 0.0;
-  double demand_mbps_ = 0.0;     ///< EWMA demand predictor
-  double capacity_coef_ = 0.0;   ///< learned MB/s per GHz
-  common::Ghz target_;
-
-  // Per-domain mode (domains_ non-null).
-  hw::IUncoreDomainSet* domains_ = nullptr;
-  std::vector<double> domain_prev_mb_;
-  std::vector<double> domain_demand_mbps_;
-  std::vector<common::Ghz> domain_target_;
+  double capacity_coef_ = 0.0;        ///< learned node MB/s per GHz
+  std::vector<double> prev_mb_;       ///< per-domain cumulative baseline
+  std::vector<double> demand_mbps_;   ///< per-domain EWMA demand predictor
+  std::vector<common::Ghz> target_;   ///< per-domain target
 };
 
 }  // namespace magus::baseline

@@ -11,6 +11,7 @@
 // high-frequency detection, so it reacts a step at a time and chases
 // oscillation.
 
+#include <algorithm>
 #include <vector>
 
 #include "magus/common/quantity.hpp"
@@ -33,11 +34,10 @@ struct DufConfig {
 
 class DufController final : public core::IPolicy {
  public:
-  /// `domains` (optional): a set exposing more than one domain switches DUF
-  /// to per-domain mode -- utilisation computed per domain against its
-  /// per-domain capacity share (capacity_mbps_per_ghz / domains), each
-  /// domain walking the ladder independently. Null or one domain keeps the
-  /// node-level loop bit-identical to the seed.
+  /// `domains` (optional): a set exposing more than one domain makes DUF
+  /// walk each domain independently, its utilisation measured against its
+  /// share of the calibrated capacity (capacity_mbps_per_ghz / domains).
+  /// Otherwise the whole node is the one domain (hw::UncoreDomains).
   DufController(hw::IMemThroughputCounter& mem_counter, hw::IMsrDevice& msr,
                 const hw::UncoreFreqLadder& ladder, DufConfig cfg = {},
                 hw::IUncoreDomainSet* domains = nullptr);
@@ -48,33 +48,24 @@ class DufController final : public core::IPolicy {
   void on_start(common::Seconds now) override;
   void on_sample(common::Seconds now) override;
 
-  [[nodiscard]] common::Ghz current_target() const noexcept { return target_; }
+  /// Lowest domain target (the node's target when the node is one domain).
+  [[nodiscard]] common::Ghz current_target() const noexcept {
+    return *std::min_element(target_.begin(), target_.end());
+  }
+  /// Mean utilisation over the domains in the last sample.
   [[nodiscard]] double last_utilization() const noexcept { return last_util_; }
 
-  /// Domains under independent control (1 in node-level mode).
-  [[nodiscard]] int domain_count() const noexcept {
-    return domains_ ? static_cast<int>(domain_target_.size()) : 1;
-  }
-  [[nodiscard]] common::Ghz domain_target(int domain) const noexcept {
-    return domains_ ? domain_target_[static_cast<std::size_t>(domain)] : target_;
-  }
-
  private:
-  void sample_domains(common::Seconds now);
+  void prime(common::Seconds now);
 
   hw::IMemThroughputCounter& mem_counter_;
-  hw::UncoreFreqController uncore_;
+  hw::UncoreDomains domains_;
   DufConfig cfg_;
   bool primed_ = false;
-  double prev_mb_ = 0.0;
   double prev_t_ = 0.0;
-  common::Ghz target_;
   double last_util_ = 0.0;
-
-  // Per-domain mode (domains_ non-null).
-  hw::IUncoreDomainSet* domains_ = nullptr;
-  std::vector<double> domain_prev_mb_;
-  std::vector<common::Ghz> domain_target_;
+  std::vector<double> prev_mb_;        ///< per-domain cumulative baseline
+  std::vector<common::Ghz> target_;    ///< per-domain target
 };
 
 }  // namespace magus::baseline

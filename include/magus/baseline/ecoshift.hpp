@@ -13,6 +13,7 @@
 // static cap) the controller is inert at ladder max, byte-identical to the
 // default firmware from the policy layer's point of view.
 
+#include <algorithm>
 #include <vector>
 
 #include "magus/common/quantity.hpp"
@@ -41,10 +42,11 @@ struct EcoShiftConfig {
 class EcoShiftController final : public core::IPolicy {
  public:
   /// `cap` (optional) is copied; null or inactive means uncapped (inert).
-  /// `domains` (optional): more than one domain switches to per-domain mode
-  /// -- over the cap the *least*-utilised domain steps down first (cheapest
-  /// performance to sell), under it the *most*-utilised domain recovers
-  /// first. Null or one domain keeps the node-level loop.
+  /// `domains` (optional): more than one domain makes the power verdict pick
+  /// a domain -- over the cap the *least*-utilised domain steps down first
+  /// (cheapest performance to sell), under it the *most*-utilised domain
+  /// recovers first. Otherwise the whole node is the one domain
+  /// (hw::UncoreDomains).
   EcoShiftController(hw::IMemThroughputCounter& mem_counter,
                      hw::IEnergyCounter& energy_counter, hw::IMsrDevice& msr,
                      const hw::UncoreFreqLadder& ladder, EcoShiftConfig cfg = {},
@@ -57,41 +59,37 @@ class EcoShiftController final : public core::IPolicy {
   void on_start(common::Seconds now) override;
   void on_sample(common::Seconds now) override;
 
-  [[nodiscard]] common::Ghz current_target() const noexcept { return target_; }
+  /// Lowest domain target (the node's target when the node is one domain).
+  [[nodiscard]] common::Ghz current_target() const noexcept {
+    return *std::min_element(target_.begin(), target_.end());
+  }
   [[nodiscard]] double last_power_w() const noexcept { return last_power_w_; }
+  /// Mean utilisation over the domains in the last sample.
   [[nodiscard]] double last_utilization() const noexcept { return last_util_; }
 
-  /// Domains under independent control (1 in node-level mode).
-  [[nodiscard]] int domain_count() const noexcept {
-    return domains_ ? static_cast<int>(domain_target_.size()) : 1;
-  }
+  [[nodiscard]] int domain_count() const noexcept { return static_cast<int>(target_.size()); }
   [[nodiscard]] common::Ghz domain_target(int domain) const noexcept {
-    return domains_ ? domain_target_[static_cast<std::size_t>(domain)] : target_;
+    return target_[static_cast<std::size_t>(domain)];
   }
 
  private:
   [[nodiscard]] double measure_power_w(common::Seconds now);
-  void sample_node(common::Seconds now);
-  void sample_domains(common::Seconds now);
+  void prime(common::Seconds now);
 
   hw::IMemThroughputCounter& mem_counter_;
   hw::IEnergyCounter& energy_counter_;
-  hw::UncoreFreqController uncore_;
+  hw::UncoreDomains domains_;
   EcoShiftConfig cfg_;
   core::PowerCapSchedule cap_;
 
   bool primed_ = false;
   double prev_t_ = 0.0;
   double prev_energy_j_ = 0.0;
-  double prev_mb_ = 0.0;
-  common::Ghz target_;
   double last_power_w_ = 0.0;
   double last_util_ = 0.0;
-
-  // Per-domain mode (domains_ non-null).
-  hw::IUncoreDomainSet* domains_ = nullptr;
-  std::vector<double> domain_prev_mb_;
-  std::vector<common::Ghz> domain_target_;
+  std::vector<double> prev_mb_;        ///< per-domain cumulative baseline
+  std::vector<double> util_;           ///< per-sample scratch, per-domain utilisation
+  std::vector<common::Ghz> target_;    ///< per-domain target
 };
 
 }  // namespace magus::baseline

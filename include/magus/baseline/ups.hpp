@@ -13,6 +13,7 @@
 // power overhead 4-8x higher than MAGUS (Table 2), reproduced emergently by
 // the engine's access metering.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -33,12 +34,13 @@ struct UpsConfig {
 
 class UpsController final : public core::IPolicy {
  public:
-  /// `domains` (optional): a set exposing more than one domain switches UPS
-  /// to per-package mode -- phase boundaries detected on each socket's own
-  /// DRAM power, one scavenging target per socket applied to all of that
-  /// socket's dies (IPC stays a node-level guard: per-core counters carry
-  /// no die affinity, a documented simplification). Null or one domain
-  /// keeps the node-level loop bit-identical to the seed.
+  /// `domains` (optional): a set exposing more than one domain makes UPS
+  /// control each socket on its own -- phase boundaries detected on the
+  /// socket's own DRAM power, one scavenging target per socket applied to
+  /// all of that socket's dies (IPC stays a node-level guard: per-core
+  /// counters carry no die affinity, a documented simplification).
+  /// Otherwise the whole node is the one domain (hw::UncoreDomains) and one
+  /// target covers every socket.
   UpsController(hw::IEnergyCounter& energy, hw::ICoreCounters& cores, hw::IMsrDevice& msr,
                 const hw::UncoreFreqLadder& ladder, UpsConfig cfg = {},
                 hw::IUncoreDomainSet* domains = nullptr);
@@ -49,54 +51,43 @@ class UpsController final : public core::IPolicy {
   void on_start(common::Seconds now) override;
   void on_sample(common::Seconds now) override;
 
-  [[nodiscard]] common::Ghz current_target() const noexcept { return target_; }
+  /// Lowest group target (the node's target when the node is one domain).
+  [[nodiscard]] common::Ghz current_target() const noexcept {
+    return *std::min_element(group_target_.begin(), group_target_.end());
+  }
   [[nodiscard]] double last_ipc() const noexcept { return last_ipc_; }
   [[nodiscard]] common::Watts last_dram_power() const noexcept { return last_dram_; }
   [[nodiscard]] unsigned long long phase_changes() const noexcept { return phase_changes_; }
 
-  /// Sockets under independent control (1 in node-level mode).
-  [[nodiscard]] int controlled_sockets() const noexcept {
-    return domains_ ? static_cast<int>(socket_target_.size()) : 1;
-  }
-  [[nodiscard]] common::Ghz socket_target(int socket) const noexcept {
-    return domains_ ? socket_target_[static_cast<std::size_t>(socket)] : target_;
-  }
-
  private:
-  /// Sweep all counters the real UPS reads each cycle. In per-package mode
-  /// the same reads additionally land in `dram_j_by_socket` (same counter
-  /// traffic, finer attribution).
+  /// Sweep all counters the real UPS reads each cycle. DRAM joules also land
+  /// in `group_dram_j` per socket group (same counter traffic either way).
   struct Snapshot {
     double dram_j = 0.0;
+    std::vector<double> group_dram_j;
     std::uint64_t instructions = 0;
     std::uint64_t cycles = 0;
-    std::vector<double> dram_j_by_socket;  ///< filled in per-package mode only
   };
-  Snapshot sweep();
-  void sample_domains(common::Seconds now, const Snapshot& cur, double dt);
-  /// Apply one socket's target to all of its dies.
-  void write_socket(int socket, common::Ghz ghz);
+  void sweep(Snapshot& out);
+  /// Apply one group's target to all of its domains.
+  void write_group(std::size_t group, common::Ghz ghz);
 
   hw::IEnergyCounter& energy_;
   hw::ICoreCounters& cores_;
-  hw::UncoreFreqController uncore_;
+  hw::UncoreDomains domains_;
   UpsConfig cfg_;
+  std::size_t domains_per_group_ = 1;
+  std::size_t sockets_per_group_ = 1;
   bool primed_ = false;
   Snapshot prev_;
+  Snapshot cur_;  ///< per-sample scratch
   double prev_t_ = 0.0;
-  common::Ghz target_;
   double last_ipc_ = 0.0;
   common::Watts last_dram_{0.0};
-  double phase_ref_dram_w_ = -1.0;
-  double phase_best_ipc_ = 0.0;
   unsigned long long phase_changes_ = 0;
-
-  // Per-package mode (domains_ non-null).
-  hw::IUncoreDomainSet* domains_ = nullptr;
-  int dies_per_socket_ = 1;
-  std::vector<common::Ghz> socket_target_;
-  std::vector<double> socket_phase_ref_w_;
-  std::vector<double> socket_best_ipc_;
+  std::vector<common::Ghz> group_target_;
+  std::vector<double> group_phase_ref_w_;
+  std::vector<double> group_best_ipc_;
 };
 
 }  // namespace magus::baseline

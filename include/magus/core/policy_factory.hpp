@@ -46,10 +46,10 @@ struct PolicyContext {
   const hw::UncoreFreqLadder* ladder = nullptr;
 
   /// Per-domain uncore control. The experiment/fleet layers wire this only
-  /// for multi-domain nodes (dies_per_socket > 1 or NUMA-skewed), so
-  /// single-domain runs keep the exact legacy MSR-0x620 access sequence.
-  /// Policies that find more than one domain here sample and decide per
-  /// domain; null (or one domain) keeps the node-level loop.
+  /// for multi-domain nodes (dies_per_socket > 1 or NUMA-skewed). Every
+  /// policy runs one loop over its domains (hw::UncoreDomains): the domains
+  /// of this set when it has more than one, else the whole node as one
+  /// domain on `msr`, with the paper's MSR 0x620 access sequence.
   hw::IUncoreDomainSet* domains = nullptr;
 
   const MagusConfig* magus = nullptr;            ///< "magus" maker (null = defaults)

@@ -6,9 +6,9 @@
 // writes out. This is the entire per-cycle hardware footprint -- the reason
 // MAGUS's overheads undercut per-core-counter methods (paper Table 2).
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -21,6 +21,7 @@
 
 namespace magus::telemetry {
 class Counter;
+class Event;
 class EventLog;
 class Gauge;
 class MetricsRegistry;
@@ -30,11 +31,12 @@ namespace magus::core {
 
 class MagusRuntime final : public IPolicy {
  public:
-  /// `domains` (optional) enables per-domain control: when it exposes more
-  /// than one uncore domain, the runtime runs one MDFS controller per domain
-  /// fed by per-domain throughput (IMemThroughputCounter::domain_mb) and
-  /// writes each domain's limit through the set. Null or a one-domain set
-  /// keeps the legacy node-level loop bit-identical to the seed.
+  /// `domains` (optional): a set exposing more than one uncore domain gives
+  /// each domain its own MDFS controller, fed by the domain's throughput
+  /// (IMemThroughputCounter::domain_mb) and written through the set.
+  /// Otherwise the whole node is the one domain (hw::UncoreDomains): one
+  /// aggregate counter read and one MSR 0x620 burst per cycle, the paper's
+  /// loop.
   MagusRuntime(hw::IMemThroughputCounter& mem_counter, hw::IMsrDevice& msr,
                const hw::UncoreFreqLadder& ladder, MagusConfig cfg = {},
                hw::IUncoreDomainSet* domains = nullptr);
@@ -46,36 +48,19 @@ class MagusRuntime final : public IPolicy {
   /// throughput counter.
   void on_start(common::Seconds now) override;
 
-  /// One monitoring cycle. The node-level sample→decide core runs inside a
-  /// lock-free HotPathSection (compiler-checked under -Wthread-safety:
-  /// acquiring any AnnotatedMutex there is a compile error); event emission,
-  /// retrying MSR writes, and backoff sleeps happen outside the section.
-  /// Per-domain mode (sample_domains) interleaves event emission with its
-  /// domain sweep and is not yet section-wrapped — moving its emissions to
-  /// an SPSC ring is the ROADMAP bounded-latency follow-up.
+  /// One monitoring cycle over every domain. The sample→decide core (reads,
+  /// validation, MDFS) runs inside a lock-free HotPathSection
+  /// (compiler-checked under -Wthread-safety: acquiring any AnnotatedMutex
+  /// there is a compile error); event emission, retrying MSR writes, and
+  /// backoff sleeps happen after the section.
   void on_sample(common::Seconds now) override;
 
-  [[nodiscard]] const MdfsController& controller() const noexcept { return *mdfs_; }
+  /// Domain 0's controller: the node's own on a whole-node run.
+  [[nodiscard]] const MdfsController& controller() const noexcept { return mdfs_.front(); }
   [[nodiscard]] const MagusConfig& config() const noexcept { return cfg_; }
 
-  /// Last computed throughput, for diagnostics. In per-domain mode this is
-  /// the sum over domains.
+  /// Last computed throughput, summed over domains, for diagnostics.
   [[nodiscard]] common::Mbps last_throughput() const noexcept { return last_throughput_; }
-
-  /// Domains under independent control (1 in node-level mode).
-  [[nodiscard]] int domain_count() const noexcept {
-    return domains_ ? static_cast<int>(domain_mdfs_.size()) : 1;
-  }
-  /// Per-domain controller (valid indices: [0, domain_count()); in
-  /// node-level mode domain 0 aliases controller()).
-  [[nodiscard]] const MdfsController& domain_controller(int domain) const {
-    return domains_ ? *domain_mdfs_[static_cast<std::size_t>(domain)] : *mdfs_;
-  }
-  /// Last per-domain throughput (node total in node-level mode).
-  [[nodiscard]] common::Mbps domain_throughput(int domain) const noexcept {
-    return domains_ ? domain_throughput_[static_cast<std::size_t>(domain)]
-                    : last_throughput_;
-  }
 
   /// True once repeated MSR-write failures exhausted the retry budget
   /// `resilience.max_consecutive_failures` times in a row: the uncore has
@@ -108,34 +93,41 @@ class MagusRuntime final : public IPolicy {
                         telemetry::EventLog* events = nullptr);
 
  private:
-  void note_sample(common::Seconds now, const std::optional<common::Ghz>& target);
-  /// Bounded-retry MSR write; exhaustion feeds the degradation counter.
-  void write_uncore(common::Ghz ghz, common::Seconds now);
-  /// Bounded-retry per-domain limit write (per-domain mode's write_uncore).
-  void write_domain(int domain, common::Ghz ghz, common::Seconds now);
-  /// A sample failed validation: keep cadence on the last good throughput.
-  void hold_last_good(common::Seconds now);
+  /// What one cycle's sweep did with a domain's reading.
+  enum class Step : unsigned char { kSkip, kHold, kDecide };
+
+  /// Read every domain's cumulative baseline, stopping at the first
+  /// rejected read; returns that domain, or the domain count once primed.
+  std::size_t prime(common::Seconds now);
+  /// Read, validate and decide one domain (the hot-path half of a cycle).
+  Step sample_domain(common::Seconds now, std::size_t domain);
+  /// Count a rejected reading; `announce` also emits `sample_rejected`.
+  void reject_sample(common::Seconds now, std::size_t domain, bool announce);
+  /// Bounded-retry limit write; exhaustion feeds the degradation counter.
+  void write_limit(std::size_t domain, common::Ghz ghz, common::Seconds now);
   void enter_degraded(common::Seconds now);
-  void start_domains(common::Seconds now);
-  void sample_domains(common::Seconds now);
+  /// Telemetry for one domain's decision this cycle.
+  void note_domain(common::Seconds now, std::size_t domain);
+  /// An event that names its domain, except on a whole-node run.
+  [[nodiscard]] telemetry::Event domain_event(common::Seconds now, const char* type,
+                                              std::size_t domain) const;
 
   hw::IMemThroughputCounter& mem_counter_;
-  hw::IMsrDevice& msr_;
-  hw::UncoreFreqController uncore_;
+  hw::UncoreDomains domains_;
   MagusConfig cfg_;
-  std::unique_ptr<MdfsController> mdfs_;
   bool primed_ = false;
-  double prev_mb_ = 0.0;
-  double prev_t_ = 0.0;
   common::Mbps last_throughput_{0.0};
 
-  // Per-domain mode (domains_ non-null): one controller and one cumulative
-  // counter baseline per domain. A domain whose read fails validation holds
-  // its own last good throughput; siblings proceed normally.
-  hw::IUncoreDomainSet* domains_ = nullptr;
-  std::vector<std::unique_ptr<MdfsController>> domain_mdfs_;
-  std::vector<double> domain_prev_mb_;
-  std::vector<common::Mbps> domain_throughput_;
+  // Per domain: the MDFS controller, the cumulative counter baseline and
+  // its timestamp, and the last good throughput. A domain whose read fails
+  // validation holds its own last good throughput; siblings proceed.
+  std::vector<MdfsController> mdfs_;
+  std::vector<double> prev_mb_;
+  std::vector<double> prev_t_;
+  std::vector<common::Mbps> throughput_;
+  // Per-cycle scratch, filled inside the hot-path section.
+  std::vector<Step> step_;
+  std::vector<std::optional<common::Ghz>> target_;
 
   // Degradation ladder state (DESIGN.md §11).
   bool degraded_ = false;
@@ -161,10 +153,11 @@ class MagusRuntime final : public IPolicy {
   telemetry::Counter* m_msr_failures_ = nullptr;
   telemetry::Counter* m_msr_retries_ = nullptr;
   telemetry::Gauge* m_degraded_ = nullptr;
-  // Per-domain series (magus_uncore_domain<k>_*), sized at attach time.
+  // Per-domain series (magus_uncore_domain<k>_*) of a multi-domain set,
+  // sized at attach time.
   std::vector<telemetry::Gauge*> m_domain_target_;
   std::vector<telemetry::Gauge*> m_domain_throughput_;
-  bool last_hf_ = false;
+  std::vector<unsigned char> last_hf_;  ///< per domain, as last noted
 };
 
 }  // namespace magus::core

@@ -5,19 +5,26 @@
 // single domain per socket on Ice Lake SP, several on multi-die Sapphire
 // Rapids parts -- through the intel_uncore_frequency sysfs driver. This
 // header defines the domain identity and the `IUncoreDomainSet` interface
-// policies program against, plus the MSR-backed adapter that presents
-// today's whole-node 0x620 path as a degenerate one-domain set so legacy
-// configs keep working unchanged.
+// policies program against, the MSR-backed adapter that presents the
+// whole-node 0x620 path as a one-domain set, and `UncoreDomains`, the one
+// place a policy learns whether it controls the whole node or each domain.
 //
 // Implementations: MsrDomainSet (below), SysfsUncoreDomainSet
 // (hw/sysfs_uncore.hpp) and the simulator's LaneUncoreDomainSet
 // (sim/backends.hpp).
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "magus/common/quantity.hpp"
+#include "magus/hw/counters.hpp"
 #include "magus/hw/msr.hpp"
 #include "magus/hw/uncore_freq.hpp"
+
+namespace magus::telemetry {
+class MetricsRegistry;
+}  // namespace magus::telemetry
 
 namespace magus::hw {
 
@@ -55,8 +62,8 @@ class IUncoreDomainSet {
   virtual void write_min_ghz(int domain, common::Ghz freq) = 0;
 };
 
-/// MSR 0x620 adapter: one logical domain spanning every socket, so a config
-/// written against the per-node controller is a one-domain set. Max-limit
+/// MSR 0x620 adapter: one logical domain spanning every socket, so the
+/// paper's whole-node controller is the one-domain case. Max-limit
 /// writes delegate to UncoreFreqController (same read/decode/skip-if-already
 /// -programmed/encode/write sequence and therefore the same access counts);
 /// min-limit writes rewrite the MIN_RATIO field with the same discipline.
@@ -74,10 +81,19 @@ class MsrDomainSet final : public IUncoreDomainSet {
   void write_max_ghz(int domain, common::Ghz freq) override;
   void write_min_ghz(int domain, common::Ghz freq) override;
 
+  [[nodiscard]] const UncoreFreqLadder& ladder() const noexcept { return ctl_.ladder(); }
+
   /// MSR writes performed through this set (for overhead accounting).
   [[nodiscard]] unsigned long long write_count() const noexcept {
     return ctl_.write_count() + min_writes_;
   }
+
+  /// Best-effort max-limit write of `freq` to every socket, one try each:
+  /// unlike write_max_ghz, a failing socket does not stop the sweep.
+  void try_write_max_ghz_each_socket(common::Ghz freq);
+
+  /// Mirror max-limit writes into `magus_hw_msr_writes_total` on `reg`.
+  void attach_telemetry(telemetry::MetricsRegistry& reg) { ctl_.attach_telemetry(reg); }
 
  private:
   void check_domain(int domain) const;
@@ -85,6 +101,50 @@ class MsrDomainSet final : public IUncoreDomainSet {
   IMsrDevice& msr_;
   UncoreFreqController ctl_;
   unsigned long long min_writes_ = 0;
+};
+
+/// The uncore domains one policy controls. A set with more than one domain
+/// is controlled domain by domain; anything else (no set, or a one-domain
+/// set) makes the whole node domain 0 of an MsrDomainSet over the policy's
+/// own MSR device, so a single-domain run keeps the paper's MSR 0x620 access
+/// sequence. Every policy runs one loop over `size()` domains and asks this
+/// type, not the set, how to read and write them.
+class UncoreDomains {
+ public:
+  UncoreDomains(IUncoreDomainSet* domains, IMsrDevice& msr, const UncoreFreqLadder& ladder);
+  UncoreDomains(const UncoreDomains&) = delete;
+  UncoreDomains& operator=(const UncoreDomains&) = delete;
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool whole_node() const noexcept { return set_ == &node_; }
+  [[nodiscard]] const UncoreFreqLadder& ladder() const noexcept { return node_.ladder(); }
+
+  /// Cumulative MB of one domain: the whole node reads the aggregate
+  /// counter (total_mb), a domain of a set reads its share (domain_mb).
+  [[nodiscard]] double read_mb(IMemThroughputCounter& counter, std::size_t domain) const {
+    return whole_node() ? counter.total_mb() : counter.domain_mb(static_cast<int>(domain));
+  }
+  /// read_mb for every domain, in index order, into `out` (sized size()).
+  void read_all_mb(IMemThroughputCounter& counter, std::vector<double>& out) const;
+
+  void write_max_ghz(std::size_t domain, common::Ghz freq) {
+    set_->write_max_ghz(static_cast<int>(domain), freq);
+  }
+  /// write_max_ghz on every domain, in index order.
+  void write_all_max_ghz(common::Ghz freq);
+
+  /// Best-effort release of every domain to the ladder maximum, one try per
+  /// write: per socket for the whole node (a 0x620 burst stops at its first
+  /// failing socket), per domain for a set. DeviceErrors are swallowed.
+  void release_to_max();
+
+  /// Mirror the whole-node MSR writes into `magus_hw_msr_writes_total`.
+  void attach_telemetry(telemetry::MetricsRegistry& reg) { node_.attach_telemetry(reg); }
+
+ private:
+  MsrDomainSet node_;
+  IUncoreDomainSet* set_;
+  std::size_t size_;
 };
 
 }  // namespace magus::hw

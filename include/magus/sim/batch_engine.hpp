@@ -98,7 +98,8 @@ class BatchEngine {
   };
 
   void start_lane(std::size_t index);
-  /// One tick (+ sample boundary) for lane `index`; true when it finished.
+  /// Tick lane `index` to its next sample boundary and run that boundary;
+  /// true when the lane finished.
   /// MAGUS_LOCK_FREE: runs only inside run_all's HotPathSection, so taking
   /// any AnnotatedMutex in its body is a compile error under Clang — the
   /// compiler-checked half of the marker-comment hot-path lint contract.

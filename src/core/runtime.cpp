@@ -14,21 +14,17 @@ namespace magus::core {
 MagusRuntime::MagusRuntime(hw::IMemThroughputCounter& mem_counter, hw::IMsrDevice& msr,
                            const hw::UncoreFreqLadder& ladder, MagusConfig cfg,
                            hw::IUncoreDomainSet* domains)
-    : mem_counter_(mem_counter), msr_(msr), uncore_(msr, ladder), cfg_(cfg) {
+    : mem_counter_(mem_counter), domains_(domains, msr, ladder), cfg_(cfg) {
   cfg_.validate();
-  mdfs_ = std::make_unique<MdfsController>(cfg_, common::Ghz(ladder.min_ghz()),
-                                           common::Ghz(ladder.max_ghz()));
-  if (domains != nullptr && domains->domain_count() > 1) {
-    domains_ = domains;
-    const auto n = static_cast<std::size_t>(domains->domain_count());
-    domain_mdfs_.reserve(n);
-    for (std::size_t d = 0; d < n; ++d) {
-      domain_mdfs_.push_back(std::make_unique<MdfsController>(
-          cfg_, common::Ghz(ladder.min_ghz()), common::Ghz(ladder.max_ghz())));
-    }
-    domain_prev_mb_.assign(n, 0.0);
-    domain_throughput_.assign(n, common::Mbps(0.0));
-  }
+  const std::size_t n = domains_.size();
+  mdfs_.assign(n, MdfsController(cfg_, common::Ghz(ladder.min_ghz()),
+                                 common::Ghz(ladder.max_ghz())));
+  prev_mb_.assign(n, 0.0);
+  prev_t_.assign(n, 0.0);
+  throughput_.assign(n, common::Mbps(0.0));
+  step_.assign(n, Step::kSkip);
+  target_.assign(n, std::nullopt);
+  last_hf_.assign(n, 0);
 }
 
 void MagusRuntime::attach_telemetry(telemetry::MetricsRegistry& reg,
@@ -65,8 +61,8 @@ void MagusRuntime::attach_telemetry(telemetry::MetricsRegistry& reg,
   m_degraded_ = reg.gauge("magus_runtime_degraded",
                           "1 once the runtime released the uncore after repeated "
                           "failures, else 0");
-  if (domains_) {
-    const auto n = domain_mdfs_.size();
+  if (!domains_.whole_node()) {
+    const auto n = mdfs_.size();
     m_domain_target_.resize(n, nullptr);
     m_domain_throughput_.resize(n, nullptr);
     for (std::size_t d = 0; d < n; ++d) {
@@ -79,269 +75,109 @@ void MagusRuntime::attach_telemetry(telemetry::MetricsRegistry& reg,
                     "Last observed memory throughput attributed to domain " + k);
     }
   }
-  uncore_.attach_telemetry(reg);
+  domains_.attach_telemetry(reg);
 }
 
 void MagusRuntime::on_start(common::Seconds now) {
-  if (domains_) {
-    start_domains(now);
-    return;
-  }
+  const common::Ghz max{domains_.ladder().max_ghz()};
   if (cfg_.scaling_enabled && !degraded_) {
-    write_uncore(common::Ghz(uncore_.ladder().max_ghz()), now);
+    for (std::size_t d = 0; d < mdfs_.size(); ++d) write_limit(d, max, now);
   }
-  telemetry::set(m_target_ghz_, uncore_.ladder().max_ghz());
-  double mb = 0.0;
-  bool readable = true;
-  try {
-    mb = mem_counter_.total_mb();
-  } catch (const common::DeviceError&) {
-    readable = false;
+  telemetry::set(m_target_ghz_, max.value());
+  // A failed priming read leaves the runtime unprimed, so the first valid
+  // on_sample primes.
+  const std::size_t bad = prime(now);
+  if (bad < mdfs_.size()) reject_sample(now, bad, /*announce=*/false);
+}
+
+std::size_t MagusRuntime::prime(common::Seconds now) {
+  primed_ = false;
+  for (std::size_t d = 0; d < mdfs_.size(); ++d) {
+    double mb = 0.0;
+    try {
+      mb = domains_.read_mb(mem_counter_, d);
+    } catch (const common::DeviceError&) {
+      return d;
+    }
+    if (!std::isfinite(mb) || mb < 0.0) return d;
+    prev_mb_[d] = mb;
+    prev_t_[d] = now.value();
   }
-  if (readable && std::isfinite(mb) && mb >= 0.0) {
-    prev_mb_ = mb;
-    prev_t_ = now.value();
-    primed_ = true;
-  } else {
-    // Priming read failed: stay unprimed so the first valid on_sample primes.
-    ++bad_samples_;
-    telemetry::inc(m_sample_errors_);
-    primed_ = false;
-  }
+  primed_ = true;
+  return mdfs_.size();
 }
 
 void MagusRuntime::on_sample(common::Seconds now) {
-  if (domains_) {
-    sample_domains(now);
+  const std::size_t n = mdfs_.size();
+  if (!primed_) {
+    // Re-prime: identical to the start sweep, no decisions this round.
+    const std::size_t bad = prime(now);
+    if (bad < n) reject_sample(now, bad, /*announce=*/true);
     return;
   }
   // The sample→decide core runs inside a compiler-checked lock-free section
   // (taking any AnnotatedMutex here is a -Wthread-safety error; see
   // DESIGN.md §14). The consequences that may lock, emit events, or sleep —
-  // hold_last_good, write_uncore's bounded-retry backoff, note_sample — run
-  // after the section ends, steered by the outcome recorded in it.
-  enum class Outcome { kSkip, kHold, kDecide };
-  Outcome outcome = Outcome::kSkip;
-  std::optional<common::Ghz> target;
+  // rejection events, write_limit's bounded-retry backoff, note_domain — run
+  // after the section ends, steered by the steps recorded in it.
   {
     const common::HotPathSection hot_section;
-    double mb = 0.0;
-    bool readable = true;
-    try {
-      mb = mem_counter_.total_mb();
-    } catch (const common::DeviceError&) {
-      readable = false;
-    }
-    if (!readable || !std::isfinite(mb) || mb < 0.0) {
-      outcome = Outcome::kHold;
-    } else if (!primed_) {
-      prev_mb_ = mb;
-      prev_t_ = now.value();
-      primed_ = true;
-    } else {
-      const double dt = now.value() - prev_t_;
-      if (dt > 0.0) {
-        const double mbps = (mb - prev_mb_) / dt;
-        if (mbps < 0.0) {
-          // A cumulative counter never decreases; this reading is corrupt.
-          outcome = Outcome::kHold;
-        } else {
-          last_throughput_ = common::Mbps(mbps);
-          prev_mb_ = mb;
-          prev_t_ = now.value();
-          target = mdfs_->on_throughput(now, last_throughput_);
-          outcome = Outcome::kDecide;
-        }
-      }
-    }
+    for (std::size_t d = 0; d < n; ++d) step_[d] = sample_domain(now, d);
   }
-  if (outcome == Outcome::kHold) {
-    hold_last_good(now);
-    return;
-  }
-  if (outcome != Outcome::kDecide) return;
-  if (target && cfg_.scaling_enabled && !degraded_) {
-    write_uncore(common::Ghz(target->value()), now);
-  }
-  note_sample(now, target);
-}
-
-void MagusRuntime::start_domains(common::Seconds now) {
-  const auto n = domain_mdfs_.size();
-  if (cfg_.scaling_enabled && !degraded_) {
-    for (std::size_t d = 0; d < n; ++d) {
-      write_domain(static_cast<int>(d), common::Ghz(uncore_.ladder().max_ghz()), now);
-    }
-  }
-  telemetry::set(m_target_ghz_, uncore_.ladder().max_ghz());
-  // Prime every domain's cumulative baseline in one sweep; a single bad
-  // read leaves the runtime unprimed so the first valid on_sample primes.
-  bool ok = true;
-  for (std::size_t d = 0; d < n && ok; ++d) {
-    double mb = 0.0;
-    try {
-      mb = mem_counter_.domain_mb(static_cast<int>(d));
-    } catch (const common::DeviceError&) {
-      ok = false;
-      break;
-    }
-    if (!std::isfinite(mb) || mb < 0.0) {
-      ok = false;
-      break;
-    }
-    domain_prev_mb_[d] = mb;
-  }
-  if (ok) {
-    prev_t_ = now.value();
-    primed_ = true;
-  } else {
-    ++bad_samples_;
-    telemetry::inc(m_sample_errors_);
-    primed_ = false;
-  }
-}
-
-void MagusRuntime::sample_domains(common::Seconds now) {
-  const auto n = domain_mdfs_.size();
-  if (!primed_) {
-    // Re-prime: identical to the start sweep, no decisions this round.
-    bool ok = true;
-    for (std::size_t d = 0; d < n && ok; ++d) {
-      double mb = 0.0;
-      try {
-        mb = mem_counter_.domain_mb(static_cast<int>(d));
-      } catch (const common::DeviceError&) {
-        ok = false;
-        break;
-      }
-      if (!std::isfinite(mb) || mb < 0.0) {
-        ok = false;
-        break;
-      }
-      domain_prev_mb_[d] = mb;
-    }
-    if (ok) {
-      prev_t_ = now.value();
-      primed_ = true;
-    } else {
-      ++bad_samples_;
-      telemetry::inc(m_sample_errors_);
-    }
-    return;
-  }
-  const double dt = now.value() - prev_t_;
-  if (dt <= 0.0) return;
-  prev_t_ = now.value();
-
-  double total_mbps = 0.0;
-  unsigned retargets = 0;
+  bool noted = false;
   for (std::size_t d = 0; d < n; ++d) {
-    double mb = 0.0;
-    bool good = true;
-    try {
-      mb = mem_counter_.domain_mb(static_cast<int>(d));
-    } catch (const common::DeviceError&) {
-      good = false;
-    }
-    if (good && (!std::isfinite(mb) || mb < 0.0)) good = false;
-    if (good) {
-      const double mbps = (mb - domain_prev_mb_[d]) / dt;
-      if (mbps < 0.0) {
-        // A cumulative counter never decreases; this reading is corrupt.
-        good = false;
-      } else {
-        domain_throughput_[d] = common::Mbps(mbps);
-        domain_prev_mb_[d] = mb;
-      }
-    }
-    if (!good) {
-      // This domain holds its last good throughput (its baseline stays put,
-      // so the next good reading averages across the gap); siblings are
-      // unaffected.
-      ++bad_samples_;
-      telemetry::inc(m_sample_errors_);
-      if (events_) {
-        events_->emit(telemetry::Event(now.value(), "sample_rejected")
-                          .num("domain", static_cast<double>(d))
-                          .num("held_throughput_mbps", domain_throughput_[d].value()));
-      }
-    }
-    total_mbps += domain_throughput_[d].value();
-
-    const std::optional<common::Ghz> target =
-        domain_mdfs_[d]->on_throughput(now, domain_throughput_[d]);
-    if (target) {
-      ++retargets;
-      if (cfg_.scaling_enabled && !degraded_) {
-        write_domain(static_cast<int>(d), common::Ghz(target->value()), now);
-      }
-      if (events_) {
-        events_->emit(telemetry::Event(now.value(), "uncore_retarget")
-                          .num("domain", static_cast<double>(d))
-                          .num("target_ghz", target->value())
-                          .num("throughput_mbps", domain_throughput_[d].value())
-                          .flag("high_freq", domain_mdfs_[d]->high_freq_status()));
-      }
-    }
-    if (d < m_domain_target_.size()) {
-      telemetry::set(m_domain_target_[d], domain_mdfs_[d]->current_target().value());
-      telemetry::set(m_domain_throughput_[d], domain_throughput_[d].value());
-    }
+    if (step_[d] == Step::kSkip) continue;
+    if (step_[d] == Step::kHold) reject_sample(now, d, /*announce=*/true);
+    if (target_[d] && cfg_.scaling_enabled && !degraded_) write_limit(d, *target_[d], now);
+    note_domain(now, d);
+    noted = true;
   }
+  if (!noted) return;
+  double total_mbps = 0.0;
+  for (const common::Mbps mbps : throughput_) total_mbps += mbps.value();
   last_throughput_ = common::Mbps(total_mbps);
   telemetry::inc(m_samples_);
   telemetry::set(m_throughput_, total_mbps);
-  telemetry::inc(m_tuning_events_, retargets);
 }
 
-void MagusRuntime::write_domain(int domain, common::Ghz ghz, common::Seconds now) {
-  const ResilienceConfig& res = cfg_.resilience;
-  common::Seconds backoff = res.backoff_base;
-  for (int attempt = 0; attempt <= res.write_retries; ++attempt) {
-    if (attempt > 0) {
-      telemetry::inc(m_msr_retries_);
-      if (backoff_sleeper_) backoff_sleeper_(backoff);
-      backoff = common::Seconds(backoff.value() * res.backoff_mult);
+MagusRuntime::Step MagusRuntime::sample_domain(common::Seconds now, std::size_t d) {
+  double mb = 0.0;
+  bool readable = true;
+  try {
+    mb = domains_.read_mb(mem_counter_, d);
+  } catch (const common::DeviceError&) {
+    readable = false;
+  }
+  Step step = Step::kHold;
+  if (readable && std::isfinite(mb) && mb >= 0.0) {
+    const double dt = now.value() - prev_t_[d];
+    if (dt <= 0.0) return Step::kSkip;
+    const double mbps = (mb - prev_mb_[d]) / dt;
+    // A cumulative counter never decreases; a reading that did is corrupt.
+    if (mbps >= 0.0) {
+      throughput_[d] = common::Mbps(mbps);
+      prev_mb_[d] = mb;
+      prev_t_[d] = now.value();
+      step = Step::kDecide;
     }
-    try {
-      domains_->write_max_ghz(domain, ghz);
-      consecutive_write_failures_ = 0;
-      return;
-    } catch (const common::DeviceError&) {
-      telemetry::inc(m_msr_failures_);
-    }
   }
-  ++write_failures_;
-  ++consecutive_write_failures_;
-  if (events_) {
-    events_->emit(telemetry::Event(now.value(), "uncore_write_failed")
-                      .num("domain", static_cast<double>(domain))
-                      .num("target_ghz", ghz.value())
-                      .num("consecutive", consecutive_write_failures_));
-  }
-  if (consecutive_write_failures_ >= res.max_consecutive_failures) {
-    enter_degraded(now);
-  }
+  // A rejected reading leaves the baseline put, so the next good reading
+  // averages across the gap; MDFS gets the last good throughput so its
+  // windows keep cadence.
+  target_[d] = mdfs_[d].on_throughput(now, throughput_[d]);
+  return step;
 }
 
-void MagusRuntime::hold_last_good(common::Seconds now) {
+void MagusRuntime::reject_sample(common::Seconds now, std::size_t domain, bool announce) {
   ++bad_samples_;
   telemetry::inc(m_sample_errors_);
-  if (events_) {
-    events_->emit(telemetry::Event(now.value(), "sample_rejected")
-                      .num("held_throughput_mbps", last_throughput_.value()));
+  if (announce && events_) {
+    events_->emit(domain_event(now, "sample_rejected", domain)
+                      .num("held_throughput_mbps", throughput_[domain].value()));
   }
-  // prev_mb_/prev_t_ stay put: the next good reading averages across the
-  // gap. Feed the last good throughput to MDFS so its windows keep cadence.
-  if (!primed_) return;
-  const std::optional<common::Ghz> target = mdfs_->on_throughput(now, last_throughput_);
-  if (target && cfg_.scaling_enabled && !degraded_) {
-    write_uncore(common::Ghz(target->value()), now);
-  }
-  note_sample(now, target);
 }
 
-void MagusRuntime::write_uncore(common::Ghz ghz, common::Seconds now) {
+void MagusRuntime::write_limit(std::size_t domain, common::Ghz ghz, common::Seconds now) {
   const ResilienceConfig& res = cfg_.resilience;
   common::Seconds backoff = res.backoff_base;
   for (int attempt = 0; attempt <= res.write_retries; ++attempt) {
@@ -351,7 +187,7 @@ void MagusRuntime::write_uncore(common::Ghz ghz, common::Seconds now) {
       backoff = common::Seconds(backoff.value() * res.backoff_mult);
     }
     try {
-      uncore_.set_max_ghz_all(ghz.value());
+      domains_.write_max_ghz(domain, ghz);
       consecutive_write_failures_ = 0;
       return;
     } catch (const common::DeviceError&) {
@@ -361,7 +197,7 @@ void MagusRuntime::write_uncore(common::Ghz ghz, common::Seconds now) {
   ++write_failures_;
   ++consecutive_write_failures_;
   if (events_) {
-    events_->emit(telemetry::Event(now.value(), "uncore_write_failed")
+    events_->emit(domain_event(now, "uncore_write_failed", domain)
                       .num("target_ghz", ghz.value())
                       .num("consecutive", consecutive_write_failures_));
   }
@@ -373,46 +209,33 @@ void MagusRuntime::write_uncore(common::Ghz ghz, common::Seconds now) {
 void MagusRuntime::enter_degraded(common::Seconds now) {
   if (degraded_) return;
   degraded_ = true;
-  // Safe fallback: best-effort release of every socket (or, in per-domain
-  // mode, every domain) to the ladder maximum (the firmware default), one
-  // try each -- a device that is still failing is left to the firmware
-  // watchdog.
-  if (domains_) {
-    for (std::size_t d = 0; d < domain_mdfs_.size(); ++d) {
-      try {
-        domains_->write_max_ghz(static_cast<int>(d),
-                                common::Ghz(uncore_.ladder().max_ghz()));
-      } catch (const common::DeviceError&) {
-      }
-    }
-  } else {
-    for (int socket = 0; socket < msr_.socket_count(); ++socket) {
-      try {
-        uncore_.set_max_ghz(socket, uncore_.ladder().max_ghz());
-      } catch (const common::DeviceError&) {
-      }
-    }
-  }
+  // Safe fallback: best-effort release of the uncore to the ladder maximum
+  // (the firmware default), one try per socket or domain -- a device that is
+  // still failing is left to the firmware watchdog.
+  domains_.release_to_max();
+  const double max_ghz = domains_.ladder().max_ghz();
   telemetry::set(m_degraded_, 1.0);
-  telemetry::set(m_target_ghz_, uncore_.ladder().max_ghz());
+  telemetry::set(m_target_ghz_, max_ghz);
   if (events_) {
     events_->emit(telemetry::Event(now.value(), "runtime_degraded")
                       .num("consecutive_failures", consecutive_write_failures_)
-                      .num("release_ghz", uncore_.ladder().max_ghz()));
+                      .num("release_ghz", max_ghz));
   }
 }
 
-void MagusRuntime::note_sample(common::Seconds now,
-                               const std::optional<common::Ghz>& target) {
+telemetry::Event MagusRuntime::domain_event(common::Seconds now, const char* type,
+                                            std::size_t domain) const {
+  telemetry::Event event(now.value(), type);
+  if (!domains_.whole_node()) event.num("domain", static_cast<double>(domain));
+  return event;
+}
+
+void MagusRuntime::note_domain(common::Seconds now, std::size_t d) {
   // One branch on the hot path when telemetry is detached / NullRegistry.
   if (!m_samples_ && !events_) return;
 
-  telemetry::inc(m_samples_);
-  telemetry::set(m_throughput_, last_throughput_.value());
-  telemetry::set(m_temporary_ghz_, mdfs_->temporary_target().value());
-
-  const DecisionRecord& rec = mdfs_->log().back();
-  telemetry::set(m_derivative_, rec.derivative.value());
+  const MdfsController& mdfs = mdfs_[d];
+  const DecisionRecord& rec = mdfs.log().back();
   if (!rec.warmup) {
     switch (rec.prediction) {
       case Trend::kIncrease: telemetry::inc(m_pred_increase_); break;
@@ -420,26 +243,33 @@ void MagusRuntime::note_sample(common::Seconds now,
       case Trend::kStable: telemetry::inc(m_pred_stable_); break;
     }
   }
-
-  const bool hf = mdfs_->high_freq_status();
-  telemetry::set(m_hf_active_, hf ? 1.0 : 0.0);
-  if (target) {
-    telemetry::inc(m_tuning_events_);
-    telemetry::set(m_target_ghz_, target->value());
-    if (events_) {
-      events_->emit(telemetry::Event(now.value(), "uncore_retarget")
-                        .num("target_ghz", target->value())
-                        .num("throughput_mbps", last_throughput_.value())
-                        .flag("high_freq", hf));
-    }
+  const std::optional<common::Ghz>& target = target_[d];
+  const bool hf = mdfs.high_freq_status();
+  if (target) telemetry::inc(m_tuning_events_);
+  if (domains_.whole_node()) {
+    // The controller gauges describe the node's one controller; the domains
+    // of a set report their own series instead.
+    telemetry::set(m_temporary_ghz_, mdfs.temporary_target().value());
+    telemetry::set(m_derivative_, rec.derivative.value());
+    telemetry::set(m_hf_active_, hf ? 1.0 : 0.0);
+    if (target) telemetry::set(m_target_ghz_, target->value());
+  } else if (d < m_domain_target_.size()) {
+    telemetry::set(m_domain_target_[d], mdfs.current_target().value());
+    telemetry::set(m_domain_throughput_[d], throughput_[d].value());
   }
-  if (hf != last_hf_) {
+  if (target && events_) {
+    events_->emit(domain_event(now, "uncore_retarget", d)
+                      .num("target_ghz", target->value())
+                      .num("throughput_mbps", throughput_[d].value())
+                      .flag("high_freq", hf));
+  }
+  if (hf != static_cast<bool>(last_hf_[d])) {
     if (hf) telemetry::inc(m_hf_phases_);
     if (events_) {
-      events_->emit(telemetry::Event(now.value(), hf ? "high_freq_enter" : "high_freq_exit")
-                        .num("throughput_mbps", last_throughput_.value()));
+      events_->emit(domain_event(now, hf ? "high_freq_enter" : "high_freq_exit", d)
+                        .num("throughput_mbps", throughput_[d].value()));
     }
-    last_hf_ = hf;
+    last_hf_[d] = hf ? 1 : 0;
   }
 }
 

@@ -38,8 +38,9 @@ sim::PolicyHook bind_policy(PolicyBinding& binding, sim::LaneBackends& hw,
   ctx.power_cap = &opts.power_cap;
   ctx.metrics = opts.metrics;
   ctx.events = opts.events;
-  // Per-domain control only on multi-domain nodes: single-domain runs keep
-  // the legacy node-level loop (and its exact counter-access sequence).
+  // Per-domain control only on multi-domain nodes: a single-domain run is
+  // the policies' one-domain case over `ctx.msr` (the paper's counter and
+  // MSR access sequence).
   if (system.cpu.dies_per_socket > 1 || system.numa_skew != 0.0) {
     ctx.domains = &hw.domains;
   }

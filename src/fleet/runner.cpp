@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 #include <map>
+#include <string>
 #include <utility>
 
 #include "magus/common/error.hpp"
@@ -92,8 +93,18 @@ void FleetRunner::compute_power_caps() {
     systems.push_back(sim::system_by_name(spec.system()));
     span_s = std::max(span_s, programs.back().nominal_duration_s());
   }
-  const std::size_t epochs =
-      std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(span_s / epoch_s)));
+  // An epoch so short that the run splits into more than kMaxBudgetEpochs
+  // (or an uncountable number) would overflow the size_t cast below or
+  // exhaust memory on the per-epoch tables.
+  constexpr double kMaxBudgetEpochs = 1'000'000.0;
+  const double epoch_count = std::ceil(span_s / epoch_s);
+  if (!(epoch_count <= kMaxBudgetEpochs)) {
+    throw common::ConfigError("budget_epoch_s " + std::to_string(epoch_s) + " splits the " +
+                              std::to_string(span_s) + " s run into more than " +
+                              std::to_string(static_cast<long>(kMaxBudgetEpochs)) +
+                              " epochs");
+  }
+  const std::size_t epochs = std::max<std::size_t>(1, static_cast<std::size_t>(epoch_count));
 
   std::vector<std::vector<double>> demand(total);
   std::vector<NodeDemand> bounds(total);

@@ -62,4 +62,42 @@ void MsrDomainSet::write_min_ghz(int domain, common::Ghz freq) {
   }
 }
 
+void MsrDomainSet::try_write_max_ghz_each_socket(common::Ghz freq) {
+  for (int s = 0; s < msr_.socket_count(); ++s) {
+    try {
+      ctl_.set_max_ghz(s, freq.value());
+    } catch (const common::DeviceError&) {
+    }
+  }
+}
+
+UncoreDomains::UncoreDomains(IUncoreDomainSet* domains, IMsrDevice& msr,
+                             const UncoreFreqLadder& ladder)
+    : node_(msr, ladder),
+      set_(domains != nullptr && domains->domain_count() > 1 ? domains : &node_),
+      size_(static_cast<std::size_t>(set_->domain_count())) {}
+
+void UncoreDomains::read_all_mb(IMemThroughputCounter& counter,
+                                std::vector<double>& out) const {
+  for (std::size_t d = 0; d < size_; ++d) out[d] = read_mb(counter, d);
+}
+
+void UncoreDomains::write_all_max_ghz(common::Ghz freq) {
+  for (std::size_t d = 0; d < size_; ++d) write_max_ghz(d, freq);
+}
+
+void UncoreDomains::release_to_max() {
+  const common::Ghz max{ladder().max_ghz()};
+  if (whole_node()) {
+    node_.try_write_max_ghz_each_socket(max);
+    return;
+  }
+  for (std::size_t d = 0; d < size_; ++d) {
+    try {
+      write_max_ghz(d, max);
+    } catch (const common::DeviceError&) {
+    }
+  }
+}
+
 }  // namespace magus::hw

@@ -79,11 +79,11 @@ void BatchEngine::run_all() {
 
   for (std::size_t i = 0; i < lanes_.size(); ++i) start_lane(i);
 
-  // Blocked tick-major: advance a cache-sized block of lanes one tick per
-  // pass and drain the block before moving to the next. The block's hot rows
-  // stay resident instead of re-streaming the whole shard's state on every
-  // tick; lanes are independent, so neither the grouping nor the compaction
-  // order below can affect results.
+  // Blocked: each pass advances every lane of a cache-sized block to its
+  // next sample boundary (step_lane), and the block drains before the next
+  // one starts. The block's hot rows stay resident instead of re-streaming
+  // the whole shard's state; lanes are independent, so neither the grouping
+  // nor the compaction order below can affect results.
   constexpr std::size_t kLaneBlock = 32;
   std::vector<std::size_t> active;
   active.reserve(kLaneBlock);

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <utility>
+#include <vector>
 
 #include "magus/baseline/comppow.hpp"
 #include "magus/core/power_cap.hpp"
@@ -54,6 +58,38 @@ struct Rig {
   ms::SimEngine engine;
   magus::hw::UncoreFreqLadder ladder;
   mb::CompPowController ctl;
+};
+
+/// Plays back a scripted sequence of cumulative MB readings.
+class ScriptedCounter final : public magus::hw::IMemThroughputCounter {
+ public:
+  explicit ScriptedCounter(std::vector<double> script) : script_(std::move(script)) {}
+  double total_mb() override {
+    return next_ < script_.size() ? script_[next_++] : script_.back();
+  }
+
+ private:
+  std::vector<double> script_;
+  std::size_t next_ = 0;
+};
+
+class ZeroEnergy final : public magus::hw::IEnergyCounter {
+ public:
+  [[nodiscard]] int socket_count() const override { return 2; }
+  double pkg_energy_j(int) override { return 0.0; }
+  double dram_energy_j(int) override { return 0.0; }
+};
+
+class MemoryMsr final : public magus::hw::IMsrDevice {
+ public:
+  [[nodiscard]] int socket_count() const override { return 2; }
+  std::uint64_t read(int socket, std::uint32_t reg) override { return raw_[{socket, reg}]; }
+  void write(int socket, std::uint32_t reg, std::uint64_t value) override {
+    raw_[{socket, reg}] = value;
+  }
+
+ private:
+  std::map<std::pair<int, std::uint32_t>, std::uint64_t> raw_;
 };
 
 mc::PowerCapSchedule fixed_cap(double watts) {
@@ -133,4 +169,31 @@ TEST(CompPow, PerDomainBudgetsFollowTheTrafficSplit) {
   ASSERT_EQ(rig.ctl.domain_count(), 4);
   EXPECT_GE(rig.ctl.domain_target(0).value(), rig.ctl.domain_target(1).value());
   EXPECT_GT(rig.ctl.last_uncore_budget_w(), 0.0);
+}
+
+TEST(CompPow, BackwardsOrNanCounterDeliversNothing) {
+  // A counter that moves backwards or reads NaN delivered no traffic: the
+  // uncore earns exactly the minimum share of the cap, never less (a
+  // negative utilisation) and never the maximum (NaN read as saturation).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ScriptedCounter counter({0.0, 1'000.0, 500.0, nan});
+  ZeroEnergy energy;
+  MemoryMsr msr;
+  const magus::hw::UncoreFreqLadder ladder(0.8, 2.2);
+  const mb::CompPowConfig cfg;
+  const mc::PowerCapSchedule cap = fixed_cap(400.0);
+  mb::CompPowController ctl(counter, energy, msr, ladder, cfg, &cap);
+  const double floor_w = cfg.uncore_share_min * 400.0;
+
+  ctl.on_start(magus::common::Seconds(0.0));
+  ctl.on_sample(magus::common::Seconds(0.2));  // 5000 MB/s
+  EXPECT_GT(ctl.last_uncore_budget_w(), floor_w);
+
+  ctl.on_sample(magus::common::Seconds(0.4));  // counter moved backwards
+  EXPECT_DOUBLE_EQ(ctl.last_utilization(), 0.0);
+  EXPECT_DOUBLE_EQ(ctl.last_uncore_budget_w(), floor_w);
+
+  ctl.on_sample(magus::common::Seconds(0.6));  // NaN reading
+  EXPECT_DOUBLE_EQ(ctl.last_utilization(), 0.0);
+  EXPECT_DOUBLE_EQ(ctl.last_uncore_budget_w(), floor_w);
 }

@@ -1,8 +1,9 @@
 // SysfsUncoreDomainSet against a generated fake intel_uncore_frequency tree
 // (no hardware): discovery and ordering, kHz attribute parsing, min/max clamp
 // write round-trips, and the missing/corrupt attribute error paths. Plus the
-// MsrDomainSet adapter that presents the legacy MSR 0x620 whole-node path as
-// a degenerate one-domain set.
+// MsrDomainSet adapter that presents the whole-node MSR 0x620 path as a
+// one-domain set, and UncoreDomains, which picks between the two for a
+// policy.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "magus/common/error.hpp"
 #include "magus/hw/sysfs_uncore.hpp"
@@ -234,4 +236,86 @@ TEST(MsrDomainSet, ReadsAndWritesThroughMsr0x620) {
   set.write_max_ghz(0, mc::Ghz(1.5));
   set.write_min_ghz(0, mc::Ghz(1.0));
   EXPECT_EQ(msr.writes, 4);
+}
+
+namespace {
+
+/// Aggregate counter 1000 MB; domain d reports 100 + d MB.
+class SplitCounter final : public mh::IMemThroughputCounter {
+ public:
+  double total_mb() override { return 1'000.0; }
+  int domain_count() override { return 4; }
+  double domain_mb(int domain) override { return 100.0 + domain; }
+};
+
+/// FakeMsr whose writes to one socket always fail.
+class DeadSocketMsr final : public mh::IMsrDevice {
+ public:
+  explicit DeadSocketMsr(int dead) : dead_(dead) {}
+  int socket_count() const override { return 2; }
+  std::uint64_t read(int, std::uint32_t) override { return 0; }
+  void write(int socket, std::uint32_t, std::uint64_t) override {
+    ++attempts;
+    if (socket == dead_) throw mc::DeviceError("dead socket");
+  }
+  int attempts = 0;
+
+ private:
+  int dead_;
+};
+
+}  // namespace
+
+TEST(UncoreDomains, NoSetOrOneDomainIsTheWholeNode) {
+  FakeMsr msr(2);
+  const mh::UncoreFreqLadder ladder(0.8, 2.2);
+  SplitCounter counter;
+  mh::MsrDomainSet one(msr, ladder);
+  for (mh::IUncoreDomainSet* set : {static_cast<mh::IUncoreDomainSet*>(nullptr),
+                                    static_cast<mh::IUncoreDomainSet*>(&one)}) {
+    mh::UncoreDomains domains(set, msr, ladder);
+    ASSERT_EQ(domains.size(), 1u);
+    EXPECT_TRUE(domains.whole_node());
+    // The whole node reads the aggregate counter, never a domain share.
+    EXPECT_DOUBLE_EQ(domains.read_mb(counter, 0), 1'000.0);
+  }
+  // Writes are one 0x620 burst over both sockets.
+  mh::UncoreDomains domains(nullptr, msr, ladder);
+  domains.write_max_ghz(0, mc::Ghz(1.5));
+  EXPECT_EQ(msr.writes, 2);
+}
+
+TEST(UncoreDomains, AMultiDomainSetIsControlledPerDomain) {
+  FakeTree tree("uncore_policy_domains");
+  for (int p = 0; p < 2; ++p) {
+    for (int d = 0; d < 2; ++d) tree.add_domain(p, d, 800'000, 2'200'000, 1'200'000);
+  }
+  mh::SysfsUncoreDomainSet set(tree.root());
+  FakeMsr msr(2);
+  const mh::UncoreFreqLadder ladder(0.8, 2.2);
+  SplitCounter counter;
+  mh::UncoreDomains domains(&set, msr, ladder);
+  ASSERT_EQ(domains.size(), 4u);
+  EXPECT_FALSE(domains.whole_node());
+  std::vector<double> mb(4, 0.0);
+  domains.read_all_mb(counter, mb);
+  EXPECT_EQ(mb, (std::vector<double>{100.0, 101.0, 102.0, 103.0}));
+
+  domains.write_max_ghz(2, mc::Ghz(1.5));
+  EXPECT_DOUBLE_EQ(set.max_ghz(2).value(), 1.5);
+  EXPECT_DOUBLE_EQ(set.max_ghz(1).value(), 2.2);
+  EXPECT_EQ(msr.writes, 0);  // the node's MSR path is not touched
+}
+
+TEST(UncoreDomains, ReleaseTriesEverySocketOnce) {
+  // A 0x620 burst stops at its first failing socket; the best-effort
+  // release still reaches the socket after it.
+  DeadSocketMsr msr(/*dead=*/0);
+  const mh::UncoreFreqLadder ladder(0.8, 2.2);
+  mh::UncoreDomains domains(nullptr, msr, ladder);
+  EXPECT_THROW(domains.write_max_ghz(0, mc::Ghz(1.0)), mc::DeviceError);
+  EXPECT_EQ(msr.attempts, 1);
+  msr.attempts = 0;
+  EXPECT_NO_THROW(domains.release_to_max());
+  EXPECT_EQ(msr.attempts, 2);
 }

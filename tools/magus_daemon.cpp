@@ -3,7 +3,7 @@
 // background, samples memory throughput every 0.2 s, and rewrites the MSR
 // 0x620 max-ratio field. Users never interact with it.
 //
-//   magus-daemon --simulate [--app unet] [--seconds 30]
+//   magus-daemon --simulate [--app unet]
 //                [--metrics-port N] [--events-out file]
 //       Demonstration mode: runs the identical control loop against the
 //       simulated Intel+A100 node and prints each decision. Works anywhere.
@@ -44,6 +44,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -72,7 +73,7 @@ void handle_signal(int) { g_stop = 1; }
 
 int usage() {
   std::cerr << "usage:\n"
-            << "  magus-daemon --simulate [--app unet] [--seconds 30]\n"
+            << "  magus-daemon --simulate [--app unet]\n"
             << "               [--metrics-port N] [--events-out file]\n"
             << "  magus-daemon --fleet --metrics-port N [--jobs N] [--events-out file]\n"
             << "  magus-daemon --throughput-file <path> [--interval 0.2]\n"
@@ -103,6 +104,15 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv) {
   return flags;
 }
 
+/// An integer flag in [lo, hi]; a bad value is a ConfigError naming the flag
+/// ("--jobs: invalid finite number 'abc'").
+int int_flag(const std::map<std::string, std::string>& flags, const std::string& name,
+             int lo, int hi) {
+  return common::parse_named("--" + name, flags.at(name), [lo, hi](const std::string& v) {
+    return common::parse_int_in_range(v, lo, hi);
+  });
+}
+
 std::vector<int> parse_cpu_list(const std::string& s) {
   const std::vector<int> cpus = common::parse_int_list(s);
   for (int cpu : cpus) {
@@ -125,10 +135,7 @@ struct Telemetry {
     if (flags.count("events-out")) events_out = flags.at("events-out");
     common::default_pool().attach_telemetry(registry);
     if (flags.count("metrics-port")) {
-      const int port = common::parse_int(flags.at("metrics-port"));
-      if (port < 0 || port > 65535) {
-        throw common::ConfigError("--metrics-port must be in [0, 65535]");
-      }
+      const int port = int_flag(flags, "metrics-port", 0, 65535);
       exporter = std::make_unique<telemetry::HttpExporter>(
           registry, static_cast<std::uint16_t>(port));
       std::cout << "[magus-daemon] serving /metrics and /healthz on port "
@@ -440,8 +447,7 @@ int run_fleet(const std::map<std::string, std::string>& flags) {
   std::signal(SIGTERM, handle_signal);
 
   if (flags.count("jobs")) {
-    const int jobs = common::parse_int(flags.at("jobs"));
-    if (jobs < 1) throw common::ConfigError("--jobs must be >= 1");
+    const int jobs = int_flag(flags, "jobs", 1, std::numeric_limits<int>::max());
     common::set_default_jobs(static_cast<std::size_t>(jobs));
   }
 
@@ -523,12 +529,10 @@ int run_real(const std::map<std::string, std::string>& flags) {
   const double interval = real_flag("interval", 0.2);
   const double min_ghz = real_flag("min-ghz", 0.8);
   const double max_ghz = real_flag("max-ghz", 2.2);
-  const int max_failures = flags.count("max-sample-failures")
-                               ? common::parse_int(flags.at("max-sample-failures"))
-                               : 25;
-  if (max_failures < 1) {
-    throw common::ConfigError("--max-sample-failures must be >= 1");
-  }
+  const int max_failures =
+      flags.count("max-sample-failures")
+          ? int_flag(flags, "max-sample-failures", 1, std::numeric_limits<int>::max())
+          : 25;
   const std::vector<int> cpus =
       flags.count("sockets") ? parse_cpu_list(flags.at("sockets")) : std::vector<int>{0};
 
