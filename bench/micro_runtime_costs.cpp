@@ -1,21 +1,19 @@
 // Google-benchmark microbenchmarks for the hot paths: the per-cycle cost of
 // MAGUS's decision logic (which must be negligible next to the 0.1 s PCM
-// sweep), the UPS counter sweep, MSR codec operations, and the simulator's
-// tick rate (which bounds how fast the figure benches run).
+// sweep), MSR codec operations, the repetition-protocol fan-out and the
+// telemetry primitives. Per-policy on_sample cost, the node tick and the
+// run_policy tick rate are perfbench's traced sheet (perfbench/README.md).
 
 #include <benchmark/benchmark.h>
 
 #include <string>
 
-#include "magus/baseline/ups.hpp"
 #include "magus/common/thread_pool.hpp"
 #include "magus/core/mdfs.hpp"
-#include "magus/core/runtime.hpp"
 #include "magus/exp/evaluation.hpp"
 #include "magus/hw/msr.hpp"
-#include "magus/sim/engine.hpp"
+#include "magus/sim/system_preset.hpp"
 #include "magus/telemetry/registry.hpp"
-#include "magus/wl/catalog.hpp"
 
 namespace {
 
@@ -63,58 +61,6 @@ void BM_Msr620Codec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Msr620Codec);
-
-void BM_MagusSampleOnSim(benchmark::State& state) {
-  sim::SimEngine engine(sim::intel_a100(), wl::make_workload("unet"));
-  const hw::UncoreFreqLadder ladder(0.8, 2.2);
-  core::MagusRuntime magus(engine.mem_counter(), engine.msr(), ladder);
-  magus.on_start(magus::common::Seconds(0.0));
-  double t = 0.3;
-  for (auto _ : state) {
-    // Advance the node a little so the counter moves, then take one sample.
-    engine.node().tick(magus::common::Seconds(t), 0.002, {50'000.0, 0.5, 0.2, 0.8}, 0.0);
-    magus.on_sample(magus::common::Seconds(t));
-    t += 0.3;
-  }
-}
-BENCHMARK(BM_MagusSampleOnSim);
-
-void BM_UpsSweepOnSim(benchmark::State& state) {
-  sim::SimEngine engine(sim::intel_a100(), wl::make_workload("unet"));
-  const hw::UncoreFreqLadder ladder(0.8, 2.2);
-  baseline::UpsController ups(engine.energy_counter(), engine.core_counters(),
-                              engine.msr(), ladder);
-  ups.on_start(magus::common::Seconds(0.0));
-  double t = 0.5;
-  for (auto _ : state) {
-    engine.node().tick(magus::common::Seconds(t), 0.002, {50'000.0, 0.5, 0.2, 0.8}, 0.0);
-    ups.on_sample(magus::common::Seconds(t));  // 160 core-counter reads + DRAM energy per call
-    t += 0.5;
-  }
-}
-BENCHMARK(BM_UpsSweepOnSim);
-
-void BM_SimEngineTick(benchmark::State& state) {
-  sim::NodeModel node(sim::intel_a100(), 1);
-  const sim::WorkSlice slice{80'000.0, 0.6, 0.2, 0.9};
-  double t = 0.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(node.tick(magus::common::Seconds(t), 0.002, slice, 0.0));
-    t += 0.002;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SimEngineTick);
-
-void BM_FullUnetSimulation(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::EngineConfig cfg;
-    cfg.record_traces = false;
-    sim::SimEngine engine(sim::intel_a100(), wl::make_workload("unet"), cfg);
-    benchmark::DoNotOptimize(engine.run());
-  }
-}
-BENCHMARK(BM_FullUnetSimulation)->Unit(benchmark::kMillisecond);
 
 // Serial-vs-parallel fan-out of the full repetition protocol (7 jittered
 // reps x 3 policies, the Fig. 4 per-app unit of work). Arg = worker count;

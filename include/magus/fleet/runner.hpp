@@ -171,6 +171,9 @@ class FleetRunner {
   /// node index), so any shard layout sees the same inputs.
   struct NodeInputs;
   [[nodiscard]] NodeInputs node_inputs(std::size_t index) const;
+  /// Node `index`'s workload, GPU-scaled and jittered from Rng(seed).fork(index);
+  /// the budget pre-pass and node_inputs both take the program from here.
+  [[nodiscard]] wl::PhaseProgram jittered_program(std::size_t index) const;
 
   /// Budget pre-pass (constructor only, serial): estimate per-epoch demand
   /// for every node from its jittered phase program, water-fill the global

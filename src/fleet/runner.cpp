@@ -76,8 +76,8 @@ void FleetRunner::compute_power_caps() {
   if (budget_w <= 0.0) return;  // static per-node caps only, no allocation
 
   // Per-node demand profiles from the same jittered programs node_inputs
-  // will later hand the runs (re-derived here, identically: the fork is
-  // order-independent, so walking nodes twice changes nothing).
+  // will later hand the runs (the fork is order-independent, so deriving
+  // each program twice changes nothing).
   const double epoch_s = manifest_.budget_epoch_s();
   std::vector<sim::SystemSpec> systems;
   std::vector<wl::PhaseProgram> programs;
@@ -85,12 +85,8 @@ void FleetRunner::compute_power_caps() {
   programs.reserve(total);
   double span_s = 0.0;
   for (std::size_t i = 0; i < total; ++i) {
-    const NodeSpec& spec = expanded_[i];
-    common::Rng node_rng = common::Rng(manifest_.seed()).fork(i);
-    wl::PhaseProgram program = wl::make_workload(spec.app());
-    if (spec.gpus() > 1) program = wl::scale_for_gpus(program, spec.gpus());
-    programs.push_back(wl::apply_jitter(program, node_rng, manifest_.jitter()));
-    systems.push_back(sim::system_by_name(spec.system()));
+    programs.push_back(jittered_program(i));
+    systems.push_back(sim::system_by_name(expanded_[i].system()));
     span_s = std::max(span_s, programs.back().nominal_duration_s());
   }
   // An epoch so short that the run splits into more than kMaxBudgetEpochs
@@ -170,23 +166,26 @@ struct FleetRunner::NodeInputs {
   exp::RunOptions opts;
 };
 
-FleetRunner::NodeInputs FleetRunner::node_inputs(std::size_t index) const {
-  const NodeSpec& spec = expanded_[index];
-
+wl::PhaseProgram FleetRunner::jittered_program(std::size_t index) const {
   // Node identity drives all randomness: the jitter stream is forked from
-  // the manifest seed by node index (fork is order-independent), and the
-  // engine noise seed is derived the same way exp::run_repeated derives
-  // per-repetition seeds. Nothing depends on scheduling.
+  // the manifest seed by node index (fork is order-independent), so nothing
+  // depends on scheduling.
+  const NodeSpec& spec = expanded_[index];
   common::Rng node_rng = common::Rng(manifest_.seed()).fork(index);
   wl::PhaseProgram program = wl::make_workload(spec.app());
   if (spec.gpus() > 1) program = wl::scale_for_gpus(program, spec.gpus());
+  return wl::apply_jitter(program, node_rng, manifest_.jitter());
+}
 
-  NodeInputs in{sim::system_by_name(spec.system()),
-                wl::apply_jitter(program, node_rng, manifest_.jitter()), {}};
+FleetRunner::NodeInputs FleetRunner::node_inputs(std::size_t index) const {
+  const NodeSpec& spec = expanded_[index];
+  NodeInputs in{sim::system_by_name(spec.system()), jittered_program(index), {}};
   // Domain knobs override the preset. The defaults (1 die, zero skew) match
   // every preset, so legacy specs reproduce the pre-domain inputs exactly.
   in.system.cpu.dies_per_socket = spec.dies();
   in.system.numa_skew = spec.numa_skew();
+  // The engine noise seed is derived the way exp::run_repeated derives
+  // per-repetition seeds.
   in.opts.engine.seed = manifest_.seed() * 1000003ull + index;
   in.opts.engine.record_traces = false;
   in.opts.static_ghz = spec.static_uncore();

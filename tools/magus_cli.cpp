@@ -26,15 +26,21 @@
 //       time; --policy/--power-cap rewrite every node, so a saved fleet can
 //       be replayed under a cap-aware comparator.
 //
+// A flag the subcommand does not read, or a trailing flag without a value,
+// is an error naming the flag (exit 2).
+//
 // Exit codes: 0 ok, 1 usage error, 2 runtime error.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "magus/common/error.hpp"
 #include "magus/common/parse.hpp"
@@ -84,13 +90,21 @@ int usage() {
 
 using Flags = std::map<std::string, std::string>;
 
-Flags parse_flags(int argc, char** argv, int from) {
+/// `--name value` pairs from argv[from..]. A flag outside `known` (the flags
+/// the subcommand reads) or one missing its value is a ConfigError naming it.
+Flags parse_flags(int argc, char** argv, int from,
+                  std::initializer_list<std::string_view> known) {
   Flags flags;
-  for (int i = from; i + 1 < argc; i += 2) {
+  for (int i = from; i < argc; i += 2) {
     if (std::strncmp(argv[i], "--", 2) != 0) {
       throw common::ConfigError(std::string("expected flag, got '") + argv[i] + "'");
     }
-    flags[argv[i] + 2] = argv[i + 1];
+    const std::string name = argv[i] + 2;
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      throw common::ConfigError("--" + name + ": unknown flag for magus-cli " + argv[1]);
+    }
+    if (i + 1 == argc) throw common::ConfigError("--" + name + ": missing value");
+    flags[name] = argv[i + 1];
   }
   return flags;
 }
@@ -383,16 +397,29 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   try {
-    if (cmd == "list") return cmd_list();
-    const auto flags = parse_flags(argc, argv, 2);
+    if (cmd == "list") {
+      (void)parse_flags(argc, argv, 2, {});
+      return cmd_list();
+    }
     if (cmd == "run") {
+      const auto flags = parse_flags(argc, argv, 2,
+                                     {"system", "app", "policy", "reps", "seed", "gpus",
+                                      "jobs", "trace", "metrics-out"});
       if (!flags.count("system") || !flags.count("app") || !flags.count("policy")) {
         return usage();
       }
       return cmd_run(flags);
     }
-    if (cmd == "fleet") return cmd_fleet(flags);
+    if (cmd == "fleet") {
+      const auto flags = parse_flags(argc, argv, 2,
+                                     {"nodes", "seed", "jobs", "shard-size", "manifest",
+                                      "save-manifest", "out", "fault-rate", "fault-seed",
+                                      "dies", "numa-skew", "policy", "power-cap",
+                                      "power-budget", "budget-epoch"});
+      return cmd_fleet(flags);
+    }
     if (cmd == "overhead") {
+      const auto flags = parse_flags(argc, argv, 2, {"system", "duration"});
       if (!flags.count("system")) return usage();
       return cmd_overhead(flags);
     }

@@ -32,22 +32,27 @@
 //                             global power budget across the nodes;
 //                             ?policy=NAME&power_cap=W rewrite every node.
 //                             Replies 202 with the queued job id.
+//                             Any other query key is a 400 naming it.
 //         GET  /fleet/status  live progress (job id, state, nodes done) and
 //                             the last finished job's rollup line.
 //       Progress also lands on /metrics as magus_fleet_* series.
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <csignal>
-#include <deque>
-#include <thread>
 #include <cstring>
+#include <deque>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "magus/common/error.hpp"
@@ -102,6 +107,19 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv) {
     }
   }
   return flags;
+}
+
+/// Rejects any flag the selected mode does not read (a typo such as
+/// `--metrics-prot` must not silently run without an exporter). The first
+/// known flag names the mode.
+void check_flags(const std::map<std::string, std::string>& flags,
+                 std::initializer_list<std::string_view> known) {
+  for (const auto& [name, value] : flags) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      throw common::ConfigError("--" + name + ": unknown flag for magus-daemon --" +
+                                std::string(*known.begin()));
+    }
+  }
 }
 
 /// An integer flag in [lo, hi]; a bad value is a ConfigError naming the flag
@@ -240,21 +258,31 @@ class FleetService {
     fleet::FleetManifest manifest;
   };
 
-  static std::string query_param(const std::string& query, const std::string& key) {
-    // key=value pairs separated by '&'; values are plain numbers or policy
-    // names here, so no percent-decoding is needed.
+  /// The documented POST /fleet/jobs query keys.
+  static constexpr std::array<std::string_view, 8> kQueryKeys = {
+      "nodes", "seed", "fault_rate", "fault_seed", "power_budget", "budget_epoch",
+      "policy", "power_cap"};
+
+  /// key=value pairs separated by '&' (the first occurrence of a key wins);
+  /// values are plain numbers or policy names, so no percent-decoding is
+  /// needed. A key outside kQueryKeys is a ConfigError naming it (HTTP 400).
+  static std::map<std::string, std::string> parse_query(const std::string& query) {
+    std::map<std::string, std::string> params;
     std::size_t pos = 0;
     while (pos < query.size()) {
       std::size_t amp = query.find('&', pos);
       if (amp == std::string::npos) amp = query.size();
       const std::string pair = query.substr(pos, amp - pos);
-      const std::size_t eq = pair.find('=');
-      if (eq != std::string::npos && pair.substr(0, eq) == key) {
-        return pair.substr(eq + 1);
-      }
       pos = amp + 1;
+      if (pair.empty()) continue;
+      const std::size_t eq = pair.find('=');
+      const std::string key = pair.substr(0, eq);
+      if (std::find(kQueryKeys.begin(), kQueryKeys.end(), key) == kQueryKeys.end()) {
+        throw common::ConfigError("unknown query parameter '" + key + "'");
+      }
+      params.emplace(key, eq == std::string::npos ? "" : pair.substr(eq + 1));
     }
-    return "";
+    return params;
   }
 
   // Numeric query parameters go through the strict parsers, so a bad value
@@ -271,39 +299,45 @@ class FleetService {
     telemetry::HttpResponse res;
     fleet::FleetManifest manifest;
     try {
+      const std::map<std::string, std::string> params = parse_query(req.query);
+      // An absent key reads as "" (as does `key=`): the default applies.
+      auto query_param = [&params](const std::string& key) {
+        const auto it = params.find(key);
+        return it == params.end() ? std::string() : it->second;
+      };
       if (!req.body.empty()) {
         manifest = fleet::FleetManifest::from_jsonl(req.body);
       } else {
-        const std::string nodes = query_param(req.query, "nodes");
+        const std::string nodes = query_param("nodes");
         if (nodes.empty()) {
           res.status = 400;
           res.body = "POST a fleet manifest (JSONL) or pass ?nodes=N[&seed=S]\n";
           return res;
         }
-        const std::string seed = query_param(req.query, "seed");
+        const std::string seed = query_param("seed");
         manifest = fleet::synth_fleet(common::parse_named("nodes", nodes, common::parse_int),
                                       seed.empty() ? 2025 : u64_param("seed", seed));
       }
       // Fault weather applies to posted manifests too: query params override
       // whatever the manifest carries.
-      const std::string fault_rate = query_param(req.query, "fault_rate");
+      const std::string fault_rate = query_param("fault_rate");
       if (!fault_rate.empty()) manifest.fault_rate(real_param("fault_rate", fault_rate));
-      const std::string fault_seed = query_param(req.query, "fault_seed");
+      const std::string fault_seed = query_param("fault_seed");
       if (!fault_seed.empty()) manifest.fault_seed(u64_param("fault_seed", fault_seed));
       // Power budgeting, same override contract: ?power_budget=W water-fills
       // a global budget per ?budget_epoch=S of simulated time; ?policy=NAME
       // and ?power_cap=W rewrite every node, so a stored fleet can be
       // replayed under a cap-aware comparator.
-      const std::string power_budget = query_param(req.query, "power_budget");
+      const std::string power_budget = query_param("power_budget");
       if (!power_budget.empty()) {
         manifest.power_budget_w(real_param("power_budget", power_budget));
       }
-      const std::string budget_epoch = query_param(req.query, "budget_epoch");
+      const std::string budget_epoch = query_param("budget_epoch");
       if (!budget_epoch.empty()) {
         manifest.budget_epoch_s(real_param("budget_epoch", budget_epoch));
       }
-      const std::string policy = query_param(req.query, "policy");
-      const std::string power_cap = query_param(req.query, "power_cap");
+      const std::string policy = query_param("policy");
+      const std::string power_cap = query_param("power_cap");
       if (!policy.empty() || !power_cap.empty()) {
         const double cap_w = power_cap.empty() ? 0.0 : real_param("power_cap", power_cap);
         manifest.mutate_nodes([&](fleet::NodeSpec& node) {
@@ -608,9 +642,19 @@ int run_real(const std::map<std::string, std::string>& flags) {
 int main(int argc, char** argv) {
   try {
     const auto flags = parse_flags(argc, argv);
-    if (flags.count("simulate")) return run_simulated(flags);
-    if (flags.count("fleet")) return run_fleet(flags);
-    if (flags.count("throughput-file")) return run_real(flags);
+    if (flags.count("simulate")) {
+      check_flags(flags, {"simulate", "app", "metrics-port", "events-out"});
+      return run_simulated(flags);
+    }
+    if (flags.count("fleet")) {
+      check_flags(flags, {"fleet", "metrics-port", "jobs", "events-out"});
+      return run_fleet(flags);
+    }
+    if (flags.count("throughput-file")) {
+      check_flags(flags, {"throughput-file", "interval", "min-ghz", "max-ghz", "sockets",
+                          "dry-run", "metrics-port", "events-out", "max-sample-failures"});
+      return run_real(flags);
+    }
     return usage();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
