@@ -33,7 +33,8 @@ class Rng {
     return n == 0 ? 0 : next_u64() % n;
   }
 
-  /// Standard normal via Box-Muller (one value per call; simple and stateless).
+  /// Standard normal via Box-Muller: one value per call, which advances the
+  /// stream by two raw draws (the pair's second normal is discarded).
   double normal() noexcept {
     double u1 = uniform();
     const double u2 = uniform();

@@ -4,11 +4,20 @@
 // Advances many independent lanes (one lane = one simulated node run) held
 // in one LaneStore -- the struct-of-arrays node storage NodeModel also uses,
 // one flat vector per quantity -- with the cold per-lane bookkeeping (phase
-// programs, policy hooks, loop clocks, results) parked in a deque off the
-// tick path. The store is the shard's arena: it is allocated once while
-// lanes are added and never grown by the tick loop, which performs no heap
-// allocation and no virtual dispatch (policy callbacks run only at sample
-// boundaries, every ~150 ticks).
+// programs, policy hooks, results) parked in a deque off the tick path. The
+// store is the shard's arena: it is allocated once while lanes are added and
+// never grown by the tick loop, which performs no heap allocation and no
+// virtual dispatch (policy callbacks run only at sample boundaries, every
+// ~150 ticks).
+//
+// One noise draw per seed: a lane's per-tick jitter is a pure function of
+// its EngineConfig::seed and the tick index, and the fleet runs every node
+// twice on one seed (the policy lane and its default twin). run_all groups
+// lanes by seed, wherever they sit in lane order, and runs the groups one
+// after another, each lane to completion. A group's first lane records its
+// draws on a tape the engine owns and reuses; each later lane replays the
+// tape and, past its end, continues from a copy of the first lane's final
+// stream -- the draws it would have made itself, so sharing moves no bit.
 //
 // The per-lane loop is SimEngine::run's without trace recording or engine
 // telemetry, over the same kernel, backends and sample-boundary charge, so
@@ -23,8 +32,10 @@
 
 #include <cstddef>
 #include <deque>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "magus/common/thread_annotations.hpp"
 #include "magus/sim/backends.hpp"
@@ -57,7 +68,7 @@ class BatchEngine {
 
   /// Run every lane to completion (or its safety cap). Call at most once.
   /// A lane whose policy callback throws is recorded failed and isolated;
-  /// sibling lanes are unaffected.
+  /// sibling lanes, including those sharing its seed, are unaffected.
   void run_all();
 
   [[nodiscard]] std::size_t lane_count() const noexcept { return lanes_.size(); }
@@ -91,24 +102,28 @@ class BatchEngine {
     LaneBackends hw;
     PolicyHook hook;
     ProgramExecutor executor;  ///< walks `program` (deque: its address is stable)
-    RunClock clock;            ///< set by start_lane once the hook is bound
     bool failed = false;
     std::string error;
     SimResult result;
   };
 
-  void start_lane(std::size_t index);
-  /// Tick lane `index` to its next sample boundary and run that boundary;
-  /// true when the lane finished.
+  /// Run lane `index` from on_start to its end with jitter from `noise`
+  /// (OwnNoise, or the tape recorder/replayer in batch_engine.cpp).
   /// MAGUS_LOCK_FREE: runs only inside run_all's HotPathSection, so taking
   /// any AnnotatedMutex in its body is a compile error under Clang — the
   /// compiler-checked half of the marker-comment hot-path lint contract.
   /// (Policy callbacks invoked at sample boundaries are std::function and
   /// opaque to the analysis; they manage their own hot sections.)
-  [[nodiscard]] bool step_lane(std::size_t index) MAGUS_LOCK_FREE;
+  template <class Noise>
+  void run_lane(std::size_t index, Noise& noise) MAGUS_LOCK_FREE;
+  /// Run the lanes `group` lists, which share one seed, in order.
+  void run_group(std::span<const std::size_t> group) MAGUS_LOCK_FREE;
 
   LaneStore store_;
   std::deque<Lane> lanes_;
+  /// The jitter a seed group's first lane drew, one entry per tick. Grown
+  /// only between run_to_boundary calls; reused by every group.
+  std::vector<double> tape_;
   unsigned long long total_ticks_ = 0;
   bool ran_ = false;
 };

@@ -50,6 +50,12 @@ struct EngineConfig {
   int display_cores = 4;       ///< per-core frequency channels for Fig. 1
 };
 
+/// The checks both engines apply to a config at construction: tick_s and
+/// record_dt_s must be finite and positive (a NaN or infinite step would
+/// never advance the clock to a boundary). Throws common::ConfigError naming
+/// the field; `engine` prefixes the message.
+void validate_engine_config(const EngineConfig& cfg, const char* engine);
+
 struct SimResult {
   std::string policy_name;
   bool completed = false;
@@ -106,24 +112,33 @@ struct RunClock {
   }
 };
 
+/// Why run_to_boundary returned.
+enum class Stop {
+  kSample,     ///< at the lane's next sample boundary
+  kFinished,   ///< program done or safety cap hit
+  kNoiseFull,  ///< the noise source is full; call again once it has room
+};
+
 /// The tick loop every engine runs: advance `lane` tick by tick until its
-/// next sample boundary (returns false) or the end of its run -- program
-/// done or safety cap hit (returns true). `observe(t, slice, out)` sees each
-/// tick before the clock moves past it; SimEngine records traces there,
-/// BatchEngine passes a no-op the compiler removes.
-template <class Observe>
-bool run_to_boundary(LaneStore& store, std::size_t lane, ProgramExecutor& exec, double dt,
-                     RunClock& clock, Observe&& observe) {
+/// next sample boundary or the end of its run. Each tick's jitter comes from
+/// `noise` (see OwnNoise in sim/node.hpp); a source whose full() is constant
+/// false costs no check. `observe(t, slice, out)` sees each tick before the
+/// clock moves past it; SimEngine records traces there, BatchEngine passes a
+/// no-op the compiler removes.
+template <class Noise, class Observe>
+Stop run_to_boundary(LaneStore& store, std::size_t lane, ProgramExecutor& exec, double dt,
+                     RunClock& clock, Noise& noise, Observe&& observe) {
   // magus:hot-path-begin
   for (;;) {
-    if (exec.done() || clock.t >= clock.max_sim) return true;
+    if (exec.done() || clock.t >= clock.max_sim) return Stop::kFinished;
+    if (noise.full()) return Stop::kNoiseFull;
     const WorkSlice slice = exec.slice();
-    const TickOutput out = store.tick(lane, dt, slice, clock.extra_w());
+    const TickOutput out = store.tick(lane, dt, slice, clock.extra_w(), noise);
     exec.advance(dt * out.progress_rate);
     ++clock.ticks;
     observe(clock.t, slice, out);
     clock.t += dt;
-    if (clock.t >= clock.next_sample_t) return false;
+    if (clock.t >= clock.next_sample_t) return Stop::kSample;
   }
   // magus:hot-path-end
 }

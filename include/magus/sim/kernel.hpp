@@ -25,7 +25,6 @@
 #include <cmath>
 #include <limits>
 
-#include "magus/common/rng.hpp"
 #include "magus/hw/uncore_freq.hpp"
 #include "magus/sim/memory_system.hpp"
 #include "magus/sim/system_preset.hpp"
@@ -349,12 +348,15 @@ inline void gpu_tick(GpuState& st, const GpuParams& p, double dt, double util_ef
 
 // --- the whole-node tick ---------------------------------------------------
 
-/// Advance one node by `dt` under `slice`. `Lane` adapts the storage layout:
+/// Advance one node by `dt` under `slice`. `jitter` is the tick's traffic
+/// noise factor, drawn by the caller (common::Rng::jitter(kTrafficNoiseRel),
+/// one draw per tick): the draw is a pure function of the lane's seed and
+/// tick index, so it is an input here and the kernel owns no random stream.
+/// `Lane` adapts the storage layout:
 ///   lane.uncore(d)   -> UncoreState&        lane.pkg_energy(s)  -> double&
 ///   lane.firmware(s) -> FirmwareState&      lane.dram_energy(s) -> double&
 ///   lane.core()      -> CoreState&          lane.last_pkg_w(s)  -> double&
 ///   lane.gpu()       -> GpuState&           lane.traffic_mb()   -> double&
-///   lane.rng()       -> common::Rng&
 ///   lane.domain_traffic_mb(d)    -> double&   (cumulative MB, per domain)
 ///   lane.domain_uncore_energy(d) -> double&   (cumulative J, per domain)
 ///   lane.domain_stretch_time(d)  -> double&   (integral of stretch, per domain)
@@ -370,7 +372,7 @@ inline void gpu_tick(GpuState& st, const GpuParams& p, double dt, double util_ef
 /// is the worst domain's.
 template <class Lane>
 TickOutput node_tick(Lane&& lane, const NodeParams& p, double dt, const WorkSlice& slice,
-                     double monitor_extra_w) {
+                     double monitor_extra_w, double jitter) {
   if (p.single_domain()) {
     // 1. Firmware governor per socket (stock TDP-coupled uncore behaviour),
     //    using the previous tick's power (sensor delay is ~1 tick anyway).
@@ -398,7 +400,7 @@ TickOutput node_tick(Lane&& lane, const NodeParams& p, double dt, const WorkSlic
     // 4. Power + energy. The workload splits evenly across sockets; a running
     //    monitor executes on socket 0.
     const double delivered_noisy =
-        std::max(0.0, mem.delivered.value() * lane.rng().jitter(kTrafficNoiseRel));
+        std::max(0.0, mem.delivered.value() * jitter);
     lane.traffic_mb() += delivered_noisy * dt;
 
     double pkg_total = 0.0;
@@ -477,9 +479,8 @@ TickOutput node_tick(Lane&& lane, const NodeParams& p, double dt, const WorkSlic
   core_tick(lane.core(), p.core, dt, slice.cpu_util, ipc_eff);
   gpu_tick(lane.gpu(), p.gpu, dt, slice.gpu_util / stretch);
 
-  // 4. One jitter draw per tick (same stream cadence as the legacy path),
-  //    applied to every domain's delivered traffic.
-  const double jitter = lane.rng().jitter(kTrafficNoiseRel);
+  // 4. The tick's one jitter factor, applied to every domain's delivered
+  //    traffic.
   double delivered_noisy = 0.0;
   for (int d = 0; d < domains; ++d) {
     const double noisy_d = std::max(0.0, delivered_d[d] * jitter);

@@ -23,6 +23,27 @@
 
 namespace magus::sim {
 
+/// A lane's per-tick noise source: LaneStore::tick and run_to_boundary take
+/// it as a template argument, so the choice costs nothing at run time. A
+/// source provides
+///   double operator()(common::Rng& own)  the tick's jitter factor; `own` is
+///                                        the lane's stream
+///   bool full() const                    true stops run_to_boundary before
+///                                        the next tick (a recording tape
+///                                        that must grow first)
+/// OwnNoise is what NodeModel and SimEngine use: draw i of a lane is
+/// Rng(seed)'s i-th jitter, a pure function of the seed and the tick index.
+/// BatchEngine adds a record/replay pair over the same draws so lanes that
+/// share a seed compute them once.
+struct OwnNoise {
+  // magus:hot-path-begin
+  double operator()(common::Rng& own) const noexcept {
+    return own.jitter(kern::kTrafficNoiseRel);
+  }
+  // magus:hot-path-end
+  static constexpr bool full() noexcept { return false; }
+};
+
 /// Counts hardware accesses made by a runtime during one invocation.
 struct AccessMeter {
   unsigned long long msr_reads = 0;
@@ -43,14 +64,20 @@ class LaneStore {
   [[nodiscard]] std::size_t lane_count() const noexcept { return lanes_.size(); }
 
   /// Advance `lane` by dt under `slice`; `monitor_extra_w` is the power of an
-  /// actively executing monitoring runtime (lands on socket 0). Inline so the
+  /// actively executing monitoring runtime (lands on socket 0), and `noise`
+  /// supplies the tick's jitter from the lane's stream. Inline so the
   /// engines' tick loops compile the kernel in place.
-  TickOutput tick(std::size_t lane, double dt, const WorkSlice& slice,
-                  double monitor_extra_w) {
+  template <class Noise>
+  TickOutput tick(std::size_t lane, double dt, const WorkSlice& slice, double monitor_extra_w,
+                  Noise& noise) {
     const LaneInfo& info = lanes_[lane];
     const View view{*this, lane, info.socket_base, info.domain_base};
-    return kern::node_tick(view, info.params, dt, slice, monitor_extra_w);
+    const double jitter = noise(rng_[lane]);
+    return kern::node_tick(view, info.params, dt, slice, monitor_extra_w, jitter);
   }
+
+  /// The lane's noise stream, seeded with add_lane's `noise_seed`.
+  [[nodiscard]] common::Rng& noise_rng(std::size_t lane) { return rng_[lane]; }
 
   [[nodiscard]] const kern::NodeParams& params(std::size_t lane) const {
     return lanes_[lane].params;
@@ -133,7 +160,6 @@ class LaneStore {
       return s.last_pkg_w_[base + static_cast<std::size_t>(k)];
     }
     [[nodiscard]] double& traffic_mb() const { return s.traffic_mb_[lane]; }
-    [[nodiscard]] common::Rng& rng() const { return s.rng_[lane]; }
     [[nodiscard]] double& domain_traffic_mb(int d) const {
       return s.domain_traffic_mb_[dbase + static_cast<std::size_t>(d)];
     }

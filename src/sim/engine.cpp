@@ -1,6 +1,8 @@
 #include "magus/sim/engine.hpp"
 
+#include <cmath>
 #include <limits>
+#include <string>
 
 #include "magus/common/error.hpp"
 #include "magus/telemetry/registry.hpp"
@@ -13,6 +15,18 @@ namespace {
 // std::function presence every tick.
 constexpr double kNever = std::numeric_limits<double>::infinity();
 }  // namespace
+
+void validate_engine_config(const EngineConfig& cfg, const char* engine) {
+  // Negated in-range tests, so NaN fails them too.
+  const auto require_step = [&](double value, const char* field) {
+    if (!(value > 0.0 && std::isfinite(value))) {
+      throw common::ConfigError(std::string(engine) + ": " + field +
+                                " must be finite and positive");
+    }
+  };
+  require_step(cfg.tick_s, "tick_s");
+  require_step(cfg.record_dt_s, "record_dt_s");
+}
 
 RunClock::RunClock(const EngineConfig& cfg, const wl::PhaseProgram& program,
                    const PolicyHook& hook)
@@ -72,9 +86,7 @@ SimEngine::SimEngine(SystemSpec spec, wl::PhaseProgram program, EngineConfig cfg
       node_(spec_, cfg_.seed),
       hw_(node_.store(), 0) {
   program_.validate();
-  if (cfg_.tick_s <= 0.0 || cfg_.record_dt_s <= 0.0) {
-    throw common::ConfigError("SimEngine: non-positive tick or record step");
-  }
+  validate_engine_config(cfg_, "SimEngine");
 }
 
 void SimEngine::attach_telemetry(telemetry::MetricsRegistry& reg) {
@@ -114,7 +126,9 @@ SimResult SimEngine::run(const PolicyHook& policy) {
     }
     next_record_t = t + cfg_.record_dt_s;
   };
-  while (!run_to_boundary(node_.store(), 0, executor, cfg_.tick_s, clock, record)) {
+  OwnNoise noise;
+  while (run_to_boundary(node_.store(), 0, executor, cfg_.tick_s, clock, noise, record) ==
+         Stop::kSample) {
     sample_boundary(policy, spec_.cpu, node_.store().meter(0), clock, result);
     // Live progress for a scraping exporter, keyed on sim time only.
     telemetry::set(m_sim_time_, clock.t);

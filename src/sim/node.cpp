@@ -71,7 +71,8 @@ NodeModel::NodeModel(const SystemSpec& spec, std::uint64_t noise_seed) {
 TickOutput NodeModel::tick(common::Seconds now, double dt, const WorkSlice& slice,
                            double monitor_extra_w) {
   (void)now;
-  last_ = store_.tick(0, dt, slice, monitor_extra_w);
+  OwnNoise noise;
+  last_ = store_.tick(0, dt, slice, monitor_extra_w, noise);
   return last_;
 }
 

@@ -1,0 +1,137 @@
+// BatchEngine lanes that share an EngineConfig::seed share one noise stream:
+// the group's first lane records its per-tick jitter and the others replay
+// it. Whatever each lane does -- outlive the recorder, stop before it, or
+// run after a recorder that threw -- its result must equal the same lane
+// run alone, field for field.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "magus/common/error.hpp"
+#include "magus/common/quantity.hpp"
+#include "magus/sim/batch_engine.hpp"
+#include "magus/wl/patterns.hpp"
+#include "sim_result_fields.hpp"
+
+namespace ms = magus::sim;
+namespace mw = magus::wl;
+namespace mc = magus::common;
+
+namespace {
+
+/// How a lane's policy behaves.
+enum class Hook {
+  kDefault,        ///< no callbacks
+  kThrottle,       ///< every 0.2 s, drops the uncore cap (slows the lane)
+  kThrowAtStart,   ///< on_start throws
+  kThrowMidRun,    ///< on_sample throws once past t = 1 s
+};
+
+struct LaneSpec {
+  std::uint64_t seed = 7;
+  double seconds = 2.0;  ///< nominal program length
+  Hook hook = Hook::kDefault;
+};
+
+mw::PhaseProgram program_of(double seconds) {
+  return mw::PhaseProgram(
+      "test", {mw::patterns::steady("p", seconds, 60'000.0, 0.6, 0.3, 0.5)});
+}
+
+ms::EngineConfig config_of(const LaneSpec& spec) {
+  ms::EngineConfig cfg;
+  cfg.seed = spec.seed;
+  cfg.record_traces = false;
+  return cfg;
+}
+
+ms::PolicyHook hook_of(Hook kind, ms::LaneBackends& hw) {
+  ms::PolicyHook hook;
+  switch (kind) {
+    case Hook::kDefault:
+      break;
+    case Hook::kThrottle:
+      hook.name = "throttle";
+      hook.on_sample = [&hw](mc::Seconds) {
+        const double f = hw.domains.current_ghz(0).value();
+        hw.domains.write_max_ghz(0, mc::Ghz(std::max(0.8, f - 0.1)));
+      };
+      break;
+    case Hook::kThrowAtStart:
+      hook.name = "throw_at_start";
+      hook.on_start = [](mc::Seconds) { throw std::runtime_error("on_start failed"); };
+      break;
+    case Hook::kThrowMidRun:
+      hook.name = "throw_mid_run";
+      hook.on_sample = [](mc::Seconds now) {
+        if (now.value() > 1.0) throw std::runtime_error("on_sample failed");
+      };
+      break;
+  }
+  return hook;
+}
+
+std::size_t add(ms::BatchEngine& engine, const LaneSpec& spec) {
+  const std::size_t lane =
+      engine.add_lane(ms::intel_a100(), program_of(spec.seconds), config_of(spec));
+  engine.set_hook(lane, hook_of(spec.hook, engine.backends(lane)));
+  return lane;
+}
+
+/// Runs `specs` as one batch and each spec alone, and compares lane by lane.
+void expect_each_lane_matches_alone(const std::vector<LaneSpec>& specs) {
+  ms::BatchEngine batch;
+  for (const LaneSpec& spec : specs) add(batch, spec);
+  batch.run_all();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("lane " + std::to_string(i));
+    ms::BatchEngine alone;
+    add(alone, specs[i]);
+    alone.run_all();
+    ASSERT_EQ(batch.lane_failed(i), alone.lane_failed(0));
+    if (alone.lane_failed(0)) {
+      EXPECT_EQ(batch.lane_error(i), alone.lane_error(0));
+      continue;
+    }
+    EXPECT_EQ(magus::test::result_fields(batch.result(i)),
+              magus::test::result_fields(alone.result(0)));
+  }
+}
+
+}  // namespace
+
+TEST(BatchEngineSharedSeed, ReplayerOutlivesRecorder) {
+  // The replayer runs 3x the recorder's ticks: past the tape's end it draws
+  // from a copy of the recorder's final stream.
+  expect_each_lane_matches_alone({{7, 1.5, Hook::kThrottle}, {7, 4.5, Hook::kDefault}});
+}
+
+TEST(BatchEngineSharedSeed, RecorderOutlivesReplayer) {
+  // The recorder runs past the first tape size (4096 ticks), so the tape
+  // grows between run_to_boundary calls; the replayer reads only its head.
+  expect_each_lane_matches_alone({{7, 12.0, Hook::kThrottle}, {7, 1.0, Hook::kDefault}});
+}
+
+TEST(BatchEngineSharedSeed, RecorderThrowsAtStart) {
+  expect_each_lane_matches_alone({{7, 2.0, Hook::kThrowAtStart}, {7, 2.0, Hook::kThrottle}});
+}
+
+TEST(BatchEngineSharedSeed, RecorderThrowsAtMidRunSample) {
+  expect_each_lane_matches_alone({{7, 3.0, Hook::kThrowMidRun}, {7, 3.0, Hook::kDefault}});
+}
+
+TEST(BatchEngineSharedSeed, ThreeNonAdjacentLanesShareOneSeed) {
+  // Lanes 0, 2 and 4 share seed 7 with other seeds in between; lane 3 is
+  // seed 9's only lane.
+  expect_each_lane_matches_alone({{7, 2.0, Hook::kThrottle},
+                                  {8, 2.0, Hook::kDefault},
+                                  {7, 3.0, Hook::kDefault},
+                                  {9, 1.0, Hook::kThrottle},
+                                  {7, 2.0, Hook::kThrowMidRun},
+                                  {8, 2.5, Hook::kThrottle}});
+}

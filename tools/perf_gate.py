@@ -11,14 +11,15 @@ from BENCHMARK.json. Then one `--trace 1` run per workload at HEAD records the
 per-layer sheet.
 
 The gate fails when any run is not `correct`, reports `failed > 0` or gives
-no result, or when HEAD's median `nodes_per_s` on a workload falls below
-(1 - bound) x the merge base's median, `bound` being the `nodes_per_s` bound
-in BENCHMARK.json. Bound and run length are read from the merge-base
-checkout, so a change cannot loosen its own gate.
+no result, or when, on any workload, HEAD's median of any `end_to_end` metric
+in BENCHMARK.json is worse than the merge base's median by more than that
+metric's `bound`, a fraction of the base median, in the direction its
+`better` names ("higher" or "lower"). Metrics, bounds and run length are
+read from the merge-base checkout, so a change cannot loosen its own gate.
 
-Writes the medians, interquartile ranges and raw runs of `nodes_per_s`,
-`setup_s` and `peak_rss_mb` per workload and side, the traced sheets and the
-verdict to the output file (schema magus.bench.fleet.v5), pass or fail.
+Writes the medians, interquartile ranges and raw runs of every end-to-end
+metric per workload and side, the traced sheets and the verdict to the
+output file (schema magus.bench.fleet.v6), pass or fail.
 Exit code 0 = pass, 1 = fail. Standard library only.
 """
 
@@ -31,19 +32,20 @@ import statistics
 import subprocess
 import sys
 
-SCHEMA = "magus.bench.fleet.v5"
+SCHEMA = "magus.bench.fleet.v6"
 WORKLOADS = ("fleet-service", "fleet-budget", "paper-fig4")
 SEEDS = (101, 202, 303)
-GATED_METRIC = "nodes_per_s"
-REPORTED_METRICS = ("nodes_per_s", "setup_s", "peak_rss_mb")
+SHOWN_METRIC = "nodes_per_s"
 
 
-def load_benchmark(checkout: str) -> tuple[float, int]:
-    """The gated metric's bound and the run length from BENCHMARK.json."""
+def load_benchmark(checkout: str) -> tuple[list[dict], int]:
+    """The end-to-end metrics ({name, better, bound}) and the run length from
+    BENCHMARK.json."""
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as f:
         spec = json.load(f)
-    bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == GATED_METRIC)
-    return float(bound), int(spec["run_seconds"])
+    metrics = [{"name": m["name"], "better": m["better"], "bound": float(m["bound"])}
+               for m in spec["end_to_end"]]
+    return metrics, int(spec["run_seconds"])
 
 
 def parse_result(stdout: str) -> dict | None:
@@ -100,11 +102,21 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def decide(runs: list[dict], bound: float) -> dict:
+def worse_by(base: float, head: float, better: str) -> float:
+    """How much worse `head` is than `base`, as a fraction of |base|; negative
+    when it is better. Any worsening of a zero base counts as infinite."""
+    delta = base - head if better == "higher" else head - base
+    if base == 0.0:
+        return 0.0 if delta <= 0.0 else float("inf")
+    return delta / abs(base)
+
+
+def decide(runs: list[dict], metrics: list[dict]) -> dict:
     """The verdict over `runs`: dicts of {workload, seed, side, result}, where
     side is "base", "head" or "trace" and result is perfbench's result object
     (None if the run gave none). Every run must be correct; on every workload
-    the HEAD median of the gated metric must reach (1 - bound) x the base's."""
+    each metric's HEAD median may be worse than the base's by at most its
+    bound."""
     failures = []
     for run in runs:
         error = run_error(run["result"])
@@ -112,24 +124,30 @@ def decide(runs: list[dict], bound: float) -> dict:
             failures.append(f"{run['workload']} seed {run['seed']} {run['side']}: {error}")
     ratios = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
-        base = [metric(r, GATED_METRIC) for r in correct_results(runs, workload, "base")]
-        head = [metric(r, GATED_METRIC) for r in correct_results(runs, workload, "head")]
-        if not base or not head:
+        base_results = correct_results(runs, workload, "base")
+        head_results = correct_results(runs, workload, "head")
+        if not base_results or not head_results:
             continue  # already failed above
-        ratio = statistics.median(head) / statistics.median(base)
-        ratios[workload] = ratio
-        if ratio < 1.0 - bound:
-            failures.append(f"{workload}: median {GATED_METRIC} at HEAD is {ratio:.3f} x the "
-                            f"merge base's, below the {1.0 - bound:.2f} floor")
-    return {"pass": not failures, "metric": GATED_METRIC, "bound": bound,
-            "head_over_base": ratios, "failures": failures}
+        ratios[workload] = {}
+        for m in metrics:
+            name = m["name"]
+            base = statistics.median(metric(r, name) for r in base_results)
+            head = statistics.median(metric(r, name) for r in head_results)
+            ratios[workload][name] = head / base if base else None
+            worse = worse_by(base, head, m["better"])
+            if worse > m["bound"]:
+                failures.append(f"{workload}: median {name} at HEAD is {head:.6g} against "
+                                f"{base:.6g} at the merge base, {100.0 * worse:.1f}% worse; "
+                                f"the bound is {100.0 * m['bound']:.0f}%")
+    return {"pass": not failures, "metrics": metrics, "head_over_base": ratios,
+            "failures": failures}
 
 
-def summarize(runs: list[dict], workload: str, side: str) -> dict:
-    """Median, IQR and raw runs (in seed order) of each reported metric."""
+def summarize(runs: list[dict], workload: str, side: str, names: list[str]) -> dict:
+    """Median, IQR and raw runs (in seed order) of each named metric."""
     results = correct_results(runs, workload, side)
     summary = {}
-    for name in REPORTED_METRICS:
+    for name in names:
         values = [metric(r, name) for r in results]
         summary[name] = {"median": statistics.median(values) if values else None,
                          "iqr": iqr(values), "runs": values}
@@ -143,7 +161,8 @@ def main() -> int:
     parser.add_argument("--out", required=True, help="BENCH_fleet.json to write")
     args = parser.parse_args()
     checkouts = {"base": os.path.abspath(args.base), "head": os.path.abspath(args.head)}
-    bound, seconds = load_benchmark(checkouts["base"])
+    metrics, seconds = load_benchmark(checkouts["base"])
+    names = [m["name"] for m in metrics]
 
     runs = []
 
@@ -154,7 +173,7 @@ def main() -> int:
         error = run_error(result)
         shown = ""
         if error is None and side != "trace":
-            shown = f" {GATED_METRIC}={metric(result, GATED_METRIC):.1f}"
+            shown = f" {SHOWN_METRIC}={metric(result, SHOWN_METRIC):.1f}"
         print(f"[perf_gate] {workload} seed {seed} {side}:{shown} ({error or 'correct'})",
               file=sys.stderr, flush=True)
         return result
@@ -165,15 +184,15 @@ def main() -> int:
             record(workload, seed, side)
     traces = {workload: record(workload, SEEDS[0], "trace") for workload in WORKLOADS}
 
-    verdict = decide(runs, bound)
+    verdict = decide(runs, metrics)
     report = {
         "schema": SCHEMA,
         "seeds": list(SEEDS),
         "run_seconds": seconds,
         "workloads": {
             workload: {
-                "base": summarize(runs, workload, "base"),
-                "head": summarize(runs, workload, "head"),
+                "base": summarize(runs, workload, "base", names),
+                "head": summarize(runs, workload, "head", names),
                 "trace": traces[workload]["metrics"] if traces[workload] else None,
             }
             for workload in WORKLOADS
