@@ -24,16 +24,25 @@ int main() {
   exp::RepeatSpec reps;
   reps.repetitions = 3;
 
-  for (const int L : {2, 3, 5, 10}) {
-    for (const std::string app : {"unet", "kmeans", "lammps"}) {
-      const auto program = wl::make_workload(app);
-      const auto base = exp::run_repeated(sim::intel_a100(), program,
-                                          "default", reps);
+  // One call per app: the default arm, then one MAGUS arm per window length.
+  const std::vector<int> lengths{2, 3, 5, 10};
+  const std::vector<std::string> apps{"unet", "kmeans", "lammps"};
+  std::vector<std::vector<exp::AggregateResult>> by_app;
+  for (const std::string& app : apps) {
+    std::vector<exp::Arm> arms{{"default", {}}};
+    for (const int L : lengths) {
       exp::RunOptions opts;
       opts.magus.direv_length = L;
-      const auto magus = exp::run_repeated(sim::intel_a100(), program,
-                                           "magus", reps, opts);
-      const auto cmp = exp::compare(magus, base);
+      arms.push_back({"magus", opts});
+    }
+    by_app.push_back(exp::run_repeated(sim::intel_a100(), wl::make_workload(app), arms, reps));
+  }
+
+  for (std::size_t l = 0; l < lengths.size(); ++l) {
+    const int L = lengths[l];
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+      const std::string& app = apps[a];
+      const auto cmp = exp::compare(by_app[a][l + 1], by_app[a][0]);
       table.add_row({std::to_string(L), app, common::TextTable::num(cmp.perf_loss_pct),
                      common::TextTable::num(cmp.cpu_power_saving_pct),
                      common::TextTable::num(cmp.energy_saving_pct)});

@@ -26,14 +26,16 @@ int main() {
 
   for (const std::string app : {"srad", "gromacs", "fdtd2d", "unet"}) {
     const auto program = wl::make_workload(app);
-    const auto base = exp::run_repeated(sim::intel_a100(), program,
-                                        "default", reps);
+    std::vector<exp::Arm> arms{{"default", {}}};
     for (const bool detector : {true, false}) {
       exp::RunOptions opts;
       opts.magus.high_freq_detection_enabled = detector;
-      const auto magus = exp::run_repeated(sim::intel_a100(), program,
-                                           "magus", reps, opts);
-      const auto cmp = exp::compare(magus, base);
+      arms.push_back({"magus", opts});
+    }
+    const auto agg = exp::run_repeated(sim::intel_a100(), program, arms, reps);
+    for (std::size_t i = 1; i < arms.size(); ++i) {
+      const bool detector = arms[i].options.magus.high_freq_detection_enabled;
+      const auto cmp = exp::compare(agg[i], agg[0]);
       table.add_row({app, detector ? "on" : "off",
                      common::TextTable::num(cmp.perf_loss_pct),
                      common::TextTable::num(cmp.cpu_power_saving_pct),

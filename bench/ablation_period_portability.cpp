@@ -26,16 +26,19 @@ int main() {
   csv.write_row({"period_s", "perf_loss_pct", "cpu_power_saving_pct",
                  "energy_saving_pct"});
   const auto unet = wl::make_workload("unet");
-  const auto base =
-      exp::run_repeated(sim::intel_a100(), unet, "default", reps);
-  for (const double period : {0.05, 0.1, 0.2, 0.5, 1.0}) {
+  const std::vector<double> periods{0.05, 0.1, 0.2, 0.5, 1.0};
+  std::vector<exp::Arm> arms{{"default", {}}};
+  for (const double period : periods) {
     exp::RunOptions opts;
     opts.magus.period = magus::common::Seconds(period);
-    const auto magus =
-        exp::run_repeated(sim::intel_a100(), unet, "magus", reps, opts);
-    const auto cmp = exp::compare(magus, base);
+    arms.push_back({"magus", opts});
+  }
+  const auto agg = exp::run_repeated(sim::intel_a100(), unet, arms, reps);
+  for (std::size_t i = 0; i < periods.size(); ++i) {
+    const double period = periods[i];
+    const auto cmp = exp::compare(agg[i + 1], agg[0]);
     const auto one = exp::run_policy(sim::intel_a100(), unet, "magus",
-                                     opts);
+                                     arms[i + 1].options);
     period_table.add_row({common::TextTable::num(period),
                           common::TextTable::num(cmp.perf_loss_pct),
                           common::TextTable::num(cmp.cpu_power_saving_pct),

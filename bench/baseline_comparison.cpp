@@ -24,10 +24,13 @@ int main() {
 
   for (const std::string app : {"unet", "bfs", "srad", "laghos", "kmeans", "gromacs"}) {
     const auto program = wl::make_workload(app);
-    const auto base = exp::run_repeated(sim::intel_a100(), program, "default", reps);
-    for (const std::string policy : {"magus", "ups", "duf"}) {
-      const auto agg = exp::run_repeated(sim::intel_a100(), program, policy, reps);
-      const auto cmp = exp::compare(agg, base);
+    const std::vector<std::string> policies{"magus", "ups", "duf"};
+    std::vector<exp::Arm> arms{{"default", {}}};
+    for (const std::string& policy : policies) arms.push_back({policy, {}});
+    const auto agg = exp::run_repeated(sim::intel_a100(), program, arms, reps);
+    for (std::size_t i = 0; i < policies.size(); ++i) {
+      const std::string& policy = policies[i];
+      const auto cmp = exp::compare(agg[i + 1], agg[0]);
       table.add_row({app, policy, common::TextTable::num(cmp.perf_loss_pct),
                      common::TextTable::num(cmp.cpu_power_saving_pct),
                      common::TextTable::num(cmp.energy_saving_pct)});

@@ -28,10 +28,10 @@ int main() {
       const wl::PhaseProgram workload =
           wl::scale_for_gpus(wl::make_workload(app), gpus);
 
-      const auto base =
-          exp::run_repeated(system, workload, "default", reps);
-      const auto magus =
-          exp::run_repeated(system, workload, "magus", reps);
+      const auto agg =
+          exp::run_repeated(system, workload, {{"default", {}}, {"magus", {}}}, reps);
+      const exp::AggregateResult& base = agg[0];
+      const exp::AggregateResult& magus = agg[1];
       const auto cmp = exp::compare(magus, base);
 
       auto row = [&](const char* policy, const exp::AggregateResult& r,

@@ -18,7 +18,8 @@
 // if no other worker is free.
 //
 // Pool sizing: `default_pool()` uses `set_default_jobs()` if called, else the
-// MAGUS_JOBS environment variable, else std::thread::hardware_concurrency().
+// MAGUS_JOBS environment variable, else std::thread::hardware_concurrency(),
+// never more than kMaxWorkers.
 
 #include <cstddef>
 #include <functional>
@@ -32,11 +33,16 @@ class MetricsRegistry;
 
 namespace magus::common {
 
+/// The most worker threads a pool starts. The --jobs flags reject a larger
+/// count as a ConfigError, MAGUS_JOBS above it falls back to the hardware
+/// count, and ThreadPool clamps to it.
+inline constexpr std::size_t kMaxWorkers = 256;
+
 class ThreadPool {
  public:
-  /// Spawns max(1, threads) workers. A 1-thread pool still owns one worker
-  /// (so `submit` works), but `parallel_for_each` degenerates to a plain
-  /// serial loop on the calling thread.
+  /// Spawns clamp(threads, 1, kMaxWorkers) workers. A 1-thread pool still
+  /// owns one worker (so `submit` works), but `parallel_for_each`
+  /// degenerates to a plain serial loop on the calling thread.
   explicit ThreadPool(std::size_t threads);
   ~ThreadPool();
 
@@ -80,8 +86,9 @@ class ThreadPool {
 };
 
 /// Worker count `default_pool()` would use right now: the
-/// `set_default_jobs()` override if set, else MAGUS_JOBS (>= 1), else
-/// hardware_concurrency() (>= 1).
+/// `set_default_jobs()` override if set, else MAGUS_JOBS when it is a clean
+/// integer in [1, kMaxWorkers], else hardware_concurrency() (>= 1); at most
+/// kMaxWorkers.
 [[nodiscard]] std::size_t default_job_count() noexcept;
 
 /// Process-wide shared pool, created lazily with `default_job_count()`

@@ -7,9 +7,14 @@
 // run_policy binds a SimEngine with -- then advances every lane through the
 // shared lane storage. Per job the output is bit-identical to run_policy on
 // the same inputs (minus traces, which the batch path never records).
+//
+// Two callers: fleet::FleetRunner (a shard's nodes and their default twins)
+// and exp::run_repeated (one repetition's policy arms). Jobs on one engine
+// seed share a single noise draw (sim/batch_engine.hpp).
 
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <string>
 
 #include "magus/exp/experiment.hpp"
@@ -27,9 +32,10 @@ class BatchRun {
   /// Queue one job; returns its index. Policy names are looked up in the
   /// core::PolicyFactory table like run_policy; an unknown name, a maker
   /// that throws, or invalid options propagate out of this call.
-  /// opts.engine.record_traces must be false; engine-level telemetry
-  /// (opts.metrics on the engine) is not supported, but policy-level
-  /// metrics/events pass through unchanged.
+  /// opts.engine.record_traces must be false. With opts.metrics set, the
+  /// finished run counts into the engine series as run_policy's does, and
+  /// policy-level metrics/events pass through unchanged. The policy keeps
+  /// pointers into `opts`, which must outlive the BatchRun.
   std::size_t add(const sim::SystemSpec& system, const wl::PhaseProgram& workload,
                   const std::string& policy, const RunOptions& opts);
 
@@ -40,6 +46,10 @@ class BatchRun {
   [[nodiscard]] bool failed(std::size_t job) const { return engine_.lane_failed(job); }
   [[nodiscard]] const std::string& error(std::size_t job) const {
     return engine_.lane_error(job);
+  }
+  /// The failed job's exception, type intact (null unless failed(job)).
+  [[nodiscard]] std::exception_ptr exception(std::size_t job) const {
+    return engine_.lane_exception(job);
   }
   /// Output of a successful job (unspecified when failed(job)).
   [[nodiscard]] const RunOutput& output(std::size_t job) const {

@@ -18,20 +18,24 @@
 // draws on a tape the engine owns and reuses; each later lane replays the
 // tape and, past its end, continues from a copy of the first lane's final
 // stream -- the draws it would have made itself, so sharing moves no bit.
+// The repetition protocol (exp::run_repeated) shares the same way: one
+// repetition's policy arms are lanes of one engine on the repetition's seed.
 //
-// The per-lane loop is SimEngine::run's without trace recording or engine
-// telemetry, over the same kernel, backends and sample-boundary charge, so
-// a lane's result is bit-identical to SimEngine::run on the same (system,
-// program, config, hook). The fleet rollup goldens in tests/fleet/golden/
-// pin the batched output byte for byte.
+// The per-lane loop is SimEngine::run's without trace recording, over the
+// same kernel, backends and sample-boundary charge, so a lane's result is
+// bit-identical to SimEngine::run on the same (system, program, config,
+// hook). The fleet rollup goldens in tests/fleet/golden/ pin the batched
+// output byte for byte.
 //
 // Scope: lanes never record traces (EngineConfig::record_traces must be
-// false) and there is no engine-level telemetry; the fleet path uses
-// neither. Policy-level telemetry (PolicyContext::metrics/events) works
-// unchanged.
+// false). A lane with attach_telemetry counts its finished run into the
+// engine series the way SimEngine::run does (EngineTelemetry), without the
+// live per-sample sim-time gauge. Policy-level telemetry
+// (PolicyContext::metrics/events) works unchanged.
 
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <span>
 #include <string>
 #include <utility>
@@ -63,6 +67,10 @@ class BatchEngine {
   /// Bind the policy hook for a lane (default: the no-op "default" hook).
   void set_hook(std::size_t lane, PolicyHook hook);
 
+  /// Count the lane's run into the engine series on `reg` once it finishes
+  /// (EngineTelemetry::run_finished). The registry must outlive run_all.
+  void attach_telemetry(std::size_t lane, telemetry::MetricsRegistry& reg);
+
   /// Backends a policy binds to. Valid for the engine's lifetime.
   [[nodiscard]] LaneBackends& backends(std::size_t lane) { return lanes_[lane].hw; }
 
@@ -75,6 +83,11 @@ class BatchEngine {
   [[nodiscard]] bool lane_failed(std::size_t lane) const { return lanes_[lane].failed; }
   [[nodiscard]] const std::string& lane_error(std::size_t lane) const {
     return lanes_[lane].error;
+  }
+  /// The exception a failed lane's policy threw, type intact, for callers
+  /// that rethrow it (null unless lane_failed).
+  [[nodiscard]] std::exception_ptr lane_exception(std::size_t lane) const {
+    return lanes_[lane].exception;
   }
   /// Result for a successfully finished lane (unspecified if lane_failed).
   [[nodiscard]] const SimResult& result(std::size_t lane) const {
@@ -102,8 +115,10 @@ class BatchEngine {
     LaneBackends hw;
     PolicyHook hook;
     ProgramExecutor executor;  ///< walks `program` (deque: its address is stable)
+    EngineTelemetry telemetry;
     bool failed = false;
     std::string error;
+    std::exception_ptr exception;
     SimResult result;
   };
 

@@ -93,6 +93,27 @@ struct SimResult {
   }
 };
 
+/// The engine series on one registry: magus_sim_steps_total,
+/// magus_sim_time_seconds, magus_sim_policy_invocations_total and
+/// magus_sim_runs_total. Default-constructed, every handle is null and
+/// counting is a no-op. Keyed on simulated time only; never feeds back.
+struct EngineTelemetry {
+  telemetry::Counter* steps = nullptr;
+  telemetry::Counter* invocations = nullptr;
+  telemetry::Counter* runs = nullptr;
+  telemetry::Gauge* sim_time = nullptr;
+
+  EngineTelemetry() = default;
+  /// Register (or look up) the series on `reg`, which must outlive every
+  /// run counted through these handles.
+  explicit EngineTelemetry(telemetry::MetricsRegistry& reg);
+
+  /// Count one finished run: its ticks, its policy invocations, the run
+  /// itself, and its final simulated time. Both engines call this once per
+  /// run that reaches its end; a run whose policy threw is not counted.
+  void run_finished(const SimResult& result) const noexcept;
+};
+
 /// Loop state a run carries between ticks.
 struct RunClock {
   double t = 0.0;
@@ -167,11 +188,10 @@ class SimEngine {
   /// Run to completion (or the safety cap) under `policy`.
   SimResult run(const PolicyHook& policy = {});
 
-  /// Register the engine series on `reg` (magus_sim_steps_total,
-  /// magus_sim_time_seconds, magus_sim_policy_invocations_total,
-  /// magus_sim_runs_total). Metrics are keyed on simulated time only and
-  /// never feed back into the simulation, so results stay bit-identical
-  /// with or without telemetry. The registry must outlive the engine.
+  /// Report into the engine series on `reg` (EngineTelemetry), plus a live
+  /// magus_sim_time_seconds at every sample boundary. Results stay
+  /// bit-identical with or without telemetry. The registry must outlive the
+  /// engine.
   void attach_telemetry(telemetry::MetricsRegistry& reg);
 
   // Backends a policy binds to. Valid for the engine's lifetime.
@@ -195,11 +215,7 @@ class SimEngine {
   LaneBackends hw_;
   trace::TraceRecorder recorder_;
 
-  // Telemetry handles; all nullptr until attach_telemetry.
-  telemetry::Counter* m_steps_ = nullptr;
-  telemetry::Counter* m_invocations_ = nullptr;
-  telemetry::Counter* m_runs_ = nullptr;
-  telemetry::Gauge* m_sim_time_ = nullptr;
+  EngineTelemetry telemetry_;  ///< all null until attach_telemetry
 };
 
 }  // namespace magus::sim

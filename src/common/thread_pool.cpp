@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <deque>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -60,7 +63,7 @@ struct ThreadPool::Impl {
 };
 
 ThreadPool::ThreadPool(std::size_t threads) : impl_(std::make_unique<Impl>()) {
-  const std::size_t n = std::max<std::size_t>(1, threads);
+  const std::size_t n = std::clamp<std::size_t>(threads, 1, kMaxWorkers);
   impl_->workers.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     impl_->workers.emplace_back([this] { impl_->worker_loop(); });
@@ -173,18 +176,21 @@ namespace {
 
 std::size_t hardware_jobs() noexcept {
   const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1 : static_cast<std::size_t>(hc);
+  return std::clamp<std::size_t>(hc, 1, kMaxWorkers);
 }
 
 std::size_t env_jobs() noexcept {
   // Read once at pool creation, never on a worker thread; the CLI owns the
   // environment at that point.
   const char* env = std::getenv("MAGUS_JOBS");  // NOLINT(concurrency-mt-unsafe)
-  if (!env || *env == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(env, &end, 10);
-  if (end == env || (end && *end != '\0')) return 0;  // not a clean number
-  return static_cast<std::size_t>(v);
+  if (!env) return 0;
+  // from_chars takes no sign, so "-1" is not a number here (strtoul would
+  // wrap it to ULONG_MAX); 0 and counts over the cap fall back likewise.
+  const std::string_view text(env);
+  std::size_t v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc() || end != text.data() + text.size() || v > kMaxWorkers) return 0;
+  return v;
 }
 
 AnnotatedMutex g_default_mutex;
@@ -192,7 +198,7 @@ std::unique_ptr<ThreadPool> g_default_pool MAGUS_GUARDED_BY(g_default_mutex);
 std::size_t g_default_jobs MAGUS_GUARDED_BY(g_default_mutex) = 0;  // 0 = auto
 
 std::size_t resolve_default_jobs() noexcept MAGUS_REQUIRES(g_default_mutex) {
-  if (g_default_jobs > 0) return g_default_jobs;
+  if (g_default_jobs > 0) return std::min(g_default_jobs, kMaxWorkers);
   const std::size_t env = env_jobs();
   if (env > 0) return env;
   return hardware_jobs();

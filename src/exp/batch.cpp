@@ -11,6 +11,7 @@ std::size_t BatchRun::add(const sim::SystemSpec& system, const wl::PhaseProgram&
   sim::PolicyHook hook =
       bind_policy(job.binding, engine_.backends(lane), system, policy, opts, job.out.faults);
   engine_.set_hook(lane, std::move(hook));
+  if (opts.metrics) engine_.attach_telemetry(lane, *opts.metrics);
   return lane;
 }
 

@@ -1,6 +1,5 @@
 #include "magus/exp/evaluation.hpp"
 
-#include <array>
 #include <string>
 #include <cmath>
 #include <set>
@@ -22,14 +21,13 @@ AppEvaluation evaluate_app(const sim::SystemSpec& system, const std::string& app
   AppEvaluation eval;
   eval.app = app;
 
-  // The three aggregates are independent repetition batches; fan them out.
-  // Each slot is written by exactly one task, and run_repeated itself is
-  // deterministic for any job count, so the comparisons below are unchanged.
-  const std::array<std::string, 3> policies{"default", "magus", "ups"};
-  std::array<AggregateResult, 3> agg;
-  common::default_pool().parallel_for_each(policies.size(), [&](std::size_t i) {
-    agg[i] = run_repeated(system, program, policies[i], spec.repeat, spec.options);
-  });
+  // One three-arm call: each repetition runs default, MAGUS and UPS as lanes
+  // of one batch on the repetition's seed, sharing its noise draw, and the
+  // repetitions fan out on the pool.
+  const std::vector<AggregateResult> agg =
+      run_repeated(system, program,
+                   {{"default", spec.options}, {"magus", spec.options}, {"ups", spec.options}},
+                   spec.repeat);
   eval.baseline = agg[0];
   eval.magus = agg[1];
   eval.ups = agg[2];

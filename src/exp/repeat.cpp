@@ -1,44 +1,21 @@
 #include "magus/exp/repeat.hpp"
 
+#include <exception>
+#include <string>
 #include <vector>
 
 #include "magus/common/error.hpp"
 #include "magus/common/stats.hpp"
 #include "magus/common/thread_pool.hpp"
+#include "magus/exp/batch.hpp"
 #include "magus/telemetry/registry.hpp"
 #include "magus/wl/jitter.hpp"
 
 namespace magus::exp {
 
-AggregateResult run_repeated(const sim::SystemSpec& system, const wl::PhaseProgram& workload,
-                             const std::string& policy, const RepeatSpec& spec,
-                             const RunOptions& opts) {
-  if (spec.repetitions < 1) throw common::ConfigError("run_repeated: repetitions < 1");
+namespace {
 
-  // Repetitions are independent simulations: each forks its own Rng stream
-  // from the master (fork does not advance master state) and seeds its own
-  // engine, so they can run on any worker in any order. Results land in
-  // slot [rep]; aggregation below walks the slots serially in rep order, so
-  // the numbers are bit-identical to the serial loop for any job count.
-  const std::size_t reps = static_cast<std::size_t>(spec.repetitions);
-  std::vector<sim::SimResult> results(reps);
-  const common::Rng master(spec.seed);
-
-  telemetry::Counter* reps_done =
-      opts.metrics ? opts.metrics->counter("magus_exp_reps_completed_total",
-                                           "Experiment repetitions completed")
-                   : nullptr;
-
-  common::default_pool().parallel_for_each(reps, [&](std::size_t rep) {
-    common::Rng rep_rng = master.fork(static_cast<std::uint64_t>(rep));
-    const wl::PhaseProgram jittered = wl::apply_jitter(workload, rep_rng, spec.jitter);
-    RunOptions rep_opts = opts;
-    rep_opts.engine.seed = spec.seed * 1000003ull + static_cast<std::uint64_t>(rep);
-    rep_opts.engine.record_traces = false;  // scalar metrics only; traces cost memory
-    results[rep] = run_policy(system, jittered, policy, rep_opts).result;
-    telemetry::inc(reps_done);
-  });
-
+AggregateResult aggregate(const std::vector<sim::SimResult>& results) {
   // magus:rollup-begin -- serial aggregation in repetition order; ordered
   // containers only (see the unordered-rollup lint rule).
   std::vector<double> runtime, pkg_j, dram_j, gpu_j, cpu_w, gpu_w, invoc;
@@ -60,10 +37,80 @@ AggregateResult run_repeated(const sim::SystemSpec& system, const wl::PhaseProgr
   agg.avg_cpu_power = common::Watts(common::mean_without_outliers(cpu_w));
   agg.avg_gpu_power = common::Watts(common::mean_without_outliers(gpu_w));
   agg.avg_invocation = common::Seconds(common::mean_without_outliers(invoc));
-  agg.reps_total = spec.repetitions;
+  agg.reps_total = static_cast<int>(results.size());
   agg.reps_used = static_cast<int>(common::iqr_filter(runtime).size());
   return agg;
   // magus:rollup-end
+}
+
+}  // namespace
+
+std::vector<std::vector<sim::SimResult>> run_repetitions(const sim::SystemSpec& system,
+                                                         const wl::PhaseProgram& workload,
+                                                         const std::vector<Arm>& arms,
+                                                         const RepeatSpec& spec) {
+  if (spec.repetitions < 1 || spec.repetitions > kMaxRepetitions) {
+    throw common::ConfigError("run_repeated: repetitions must be in [1, " +
+                              std::to_string(kMaxRepetitions) + "]");
+  }
+
+  // Repetitions are independent simulations: each forks its own Rng stream
+  // from the master (fork does not advance master state) and seeds its own
+  // engine, so they can run on any worker in any order. Results land in
+  // slot [arm][rep]; aggregation walks the slots serially in rep order, so
+  // the numbers are bit-identical to the serial loop for any job count.
+  const std::size_t reps = static_cast<std::size_t>(spec.repetitions);
+  std::vector<std::vector<sim::SimResult>> runs(arms.size(),
+                                                std::vector<sim::SimResult>(reps));
+  const common::Rng master(spec.seed);
+
+  std::vector<telemetry::Counter*> reps_done(arms.size(), nullptr);
+  for (std::size_t a = 0; a < arms.size(); ++a) {
+    if (telemetry::MetricsRegistry* reg = arms[a].options.metrics) {
+      reps_done[a] =
+          reg->counter("magus_exp_reps_completed_total", "Experiment repetitions completed");
+    }
+  }
+
+  common::default_pool().parallel_for_each(reps, [&](std::size_t rep) {
+    common::Rng rep_rng = master.fork(static_cast<std::uint64_t>(rep));
+    const wl::PhaseProgram jittered = wl::apply_jitter(workload, rep_rng, spec.jitter);
+    // Policies keep pointers into their options: the copies outlive `batch`.
+    std::vector<RunOptions> rep_opts(arms.size());
+    BatchRun batch;
+    for (std::size_t a = 0; a < arms.size(); ++a) {
+      rep_opts[a] = arms[a].options;
+      rep_opts[a].engine.seed = spec.seed * 1000003ull + static_cast<std::uint64_t>(rep);
+      rep_opts[a].engine.record_traces = false;  // scalar metrics only; traces cost memory
+      (void)batch.add(system, jittered, arms[a].policy, rep_opts[a]);
+    }
+    batch.run_all();
+    for (std::size_t a = 0; a < arms.size(); ++a) {
+      if (batch.failed(a)) std::rethrow_exception(batch.exception(a));
+      runs[a][rep] = batch.output(a).result;
+      telemetry::inc(reps_done[a]);
+    }
+  });
+  return runs;
+}
+
+std::vector<AggregateResult> run_repeated(const sim::SystemSpec& system,
+                                          const wl::PhaseProgram& workload,
+                                          const std::vector<Arm>& arms,
+                                          const RepeatSpec& spec) {
+  std::vector<AggregateResult> out;
+  out.reserve(arms.size());
+  for (const std::vector<sim::SimResult>& arm_runs :
+       run_repetitions(system, workload, arms, spec)) {
+    out.push_back(aggregate(arm_runs));
+  }
+  return out;
+}
+
+AggregateResult run_repeated(const sim::SystemSpec& system, const wl::PhaseProgram& workload,
+                             const std::string& policy, const RepeatSpec& spec,
+                             const RunOptions& opts) {
+  return run_repeated(system, workload, {Arm{policy, opts}}, spec).front();
 }
 
 }  // namespace magus::exp

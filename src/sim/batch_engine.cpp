@@ -68,6 +68,10 @@ void BatchEngine::set_hook(std::size_t lane, PolicyHook hook) {
   lanes_[lane].hook = std::move(hook);
 }
 
+void BatchEngine::attach_telemetry(std::size_t lane, telemetry::MetricsRegistry& reg) {
+  lanes_[lane].telemetry = EngineTelemetry(reg);
+}
+
 template <class Noise>
 void BatchEngine::run_lane(std::size_t index, Noise& noise) {
   Lane& lane = lanes_[index];
@@ -92,9 +96,11 @@ void BatchEngine::run_lane(std::size_t index, Noise& noise) {
   } catch (const std::exception& e) {
     lane.failed = true;
     lane.error = e.what();
+    lane.exception = std::current_exception();
     return;
   }
   collect_result(store_, index, clock, lane.executor.done(), lane.result);
+  lane.telemetry.run_finished(lane.result);
   total_ticks_ += clock.ticks;
 }
 

@@ -89,13 +89,23 @@ SimEngine::SimEngine(SystemSpec spec, wl::PhaseProgram program, EngineConfig cfg
   validate_engine_config(cfg_, "SimEngine");
 }
 
+EngineTelemetry::EngineTelemetry(telemetry::MetricsRegistry& reg)
+    : steps(reg.counter("magus_sim_steps_total", "Simulation ticks executed")),
+      invocations(
+          reg.counter("magus_sim_policy_invocations_total", "Policy on_sample invocations")),
+      runs(reg.counter("magus_sim_runs_total", "Completed simulation runs")),
+      sim_time(reg.gauge("magus_sim_time_seconds",
+                         "Simulated time of the current/most recent run")) {}
+
+void EngineTelemetry::run_finished(const SimResult& result) const noexcept {
+  telemetry::inc(steps, result.ticks);
+  telemetry::inc(invocations, result.invocations);
+  telemetry::inc(runs);
+  telemetry::set(sim_time, result.duration_s);
+}
+
 void SimEngine::attach_telemetry(telemetry::MetricsRegistry& reg) {
-  m_steps_ = reg.counter("magus_sim_steps_total", "Simulation ticks executed");
-  m_sim_time_ = reg.gauge("magus_sim_time_seconds",
-                          "Simulated time of the current/most recent run");
-  m_invocations_ =
-      reg.counter("magus_sim_policy_invocations_total", "Policy on_sample invocations");
-  m_runs_ = reg.counter("magus_sim_runs_total", "Completed SimEngine::run calls");
+  telemetry_ = EngineTelemetry(reg);
 }
 
 SimResult SimEngine::run(const PolicyHook& policy) {
@@ -131,14 +141,11 @@ SimResult SimEngine::run(const PolicyHook& policy) {
          Stop::kSample) {
     sample_boundary(policy, spec_.cpu, node_.store().meter(0), clock, result);
     // Live progress for a scraping exporter, keyed on sim time only.
-    telemetry::set(m_sim_time_, clock.t);
+    telemetry::set(telemetry_.sim_time, clock.t);
   }
 
   collect_result(node_.store(), 0, clock, executor.done(), result);
-  telemetry::inc(m_steps_, clock.ticks);
-  telemetry::inc(m_invocations_, result.invocations);
-  telemetry::inc(m_runs_);
-  telemetry::set(m_sim_time_, clock.t);
+  telemetry_.run_finished(result);
   return result;
 }
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -80,8 +81,9 @@ TEST(ThreadPool, SingleJobRunsSeriallyOnCallerThread) {
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
-// evaluate_app fans out policies whose run_repeated fans out repetitions on
-// the same pool; the caller-participates design must not deadlock.
+// perfbench's Fig. 4 loop fans out apps whose evaluate_app (one run_repeated
+// call) fans out repetitions on the same pool; the caller-participates
+// design must not deadlock.
 TEST(ThreadPool, NestedForEachDoesNotDeadlock) {
   mc::ThreadPool pool(2);
   std::atomic<int> inner_total{0};
@@ -108,6 +110,28 @@ TEST(ThreadPool, MagusJobsEnvControlsDefaultPool) {
 
   ASSERT_EQ(unsetenv("MAGUS_JOBS"), 0);
   mc::set_default_jobs(0);
+}
+
+TEST(ThreadPool, MagusJobsOutOfRangeFallsBackToHardware) {
+  // Only default_job_count() is asked: no pool is built from these values.
+  ASSERT_EQ(unsetenv("MAGUS_JOBS"), 0);
+  mc::set_default_jobs(0);
+  const std::size_t hardware = mc::default_job_count();
+  EXPECT_GE(hardware, 1u);
+  EXPECT_LE(hardware, mc::kMaxWorkers);
+
+  const std::string over_cap = std::to_string(mc::kMaxWorkers + 1);
+  for (const char* value : {"-1", "0", "+3", " 3", "3 ", "99999999999999999999999",
+                            over_cap.c_str()}) {
+    SCOPED_TRACE(value);
+    ASSERT_EQ(setenv("MAGUS_JOBS", value, 1), 0);
+    EXPECT_EQ(mc::default_job_count(), hardware);
+  }
+  const std::string at_cap = std::to_string(mc::kMaxWorkers);
+  ASSERT_EQ(setenv("MAGUS_JOBS", at_cap.c_str(), 1), 0);
+  EXPECT_EQ(mc::default_job_count(), mc::kMaxWorkers);
+
+  ASSERT_EQ(unsetenv("MAGUS_JOBS"), 0);
 }
 
 TEST(ThreadPool, SetDefaultJobsResizesDefaultPool) {

@@ -2,7 +2,9 @@
 // the group's first lane records its per-tick jitter and the others replay
 // it. Whatever each lane does -- outlive the recorder, stop before it, or
 // run after a recorder that threw -- its result must equal the same lane
-// run alone, field for field.
+// run alone, field for field. A failed lane keeps its exception's type, and
+// a lane with engine telemetry counts its run like SimEngine::run; both are
+// checked through exp::run_repeated, whose repetitions are arm batches.
 
 #include <gtest/gtest.h>
 
@@ -14,13 +16,18 @@
 
 #include "magus/common/error.hpp"
 #include "magus/common/quantity.hpp"
+#include "magus/exp/repeat.hpp"
 #include "magus/sim/batch_engine.hpp"
+#include "magus/telemetry/registry.hpp"
+#include "magus/wl/catalog.hpp"
 #include "magus/wl/patterns.hpp"
 #include "sim_result_fields.hpp"
 
 namespace ms = magus::sim;
 namespace mw = magus::wl;
 namespace mc = magus::common;
+namespace me = magus::exp;
+namespace mt = magus::telemetry;
 
 namespace {
 
@@ -134,4 +141,75 @@ TEST(BatchEngineSharedSeed, ThreeNonAdjacentLanesShareOneSeed) {
                                   {9, 1.0, Hook::kThrottle},
                                   {7, 2.0, Hook::kThrowMidRun},
                                   {8, 2.5, Hook::kThrottle}});
+}
+
+namespace {
+
+/// A policy failure with a type of its own.
+struct SampleFault : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+}  // namespace
+
+TEST(BatchEngineFailure, LaneExceptionKeepsItsType) {
+  ms::BatchEngine batch;
+  const std::size_t failing = add(batch, {7, 3.0, Hook::kDefault});
+  ms::PolicyHook hook;
+  hook.name = "typed_throw";
+  hook.on_sample = [](mc::Seconds now) {
+    if (now.value() > 1.0) throw SampleFault("sample fault");
+  };
+  batch.set_hook(failing, hook);
+  const std::size_t sibling = add(batch, {7, 3.0, Hook::kDefault});
+  batch.run_all();
+
+  ASSERT_TRUE(batch.lane_failed(failing));
+  EXPECT_EQ(batch.lane_error(failing), "sample fault");
+  EXPECT_THROW(std::rethrow_exception(batch.lane_exception(failing)), SampleFault);
+  EXPECT_FALSE(batch.lane_failed(sibling));
+  EXPECT_EQ(batch.lane_exception(sibling), nullptr);
+}
+
+TEST(BatchEngineFailure, RunRepeatedRethrowsTheArmsExceptionType) {
+  // UPS does not ride the degradation ladder: an injected MSR -EIO on its
+  // uncore-limit register surfaces as common::DeviceError. At this rate and
+  // seed the first failed access is read op 29 of that register, in the
+  // on_sample call at t = 6.684 s of both repetitions: a sample boundary.
+  me::RunOptions faulty;
+  faulty.fault.rate = 0.05;
+  faulty.fault.seed = 7;
+  me::RepeatSpec spec;
+  spec.repetitions = 2;
+  spec.seed = 5;
+  const ms::SystemSpec system = ms::intel_a100();
+  const mw::PhaseProgram program = mw::make_workload("bfs");
+  EXPECT_THROW((void)me::run_repeated(system, program, {{"default", {}}, {"ups", faulty}}, spec),
+               mc::DeviceError);
+}
+
+TEST(BatchEngineTelemetry, RunRepeatedCountsEveryRun) {
+  mt::MetricsRegistry reg;
+  me::RunOptions opts;
+  opts.metrics = &reg;
+  const std::vector<me::Arm> arms{{"default", opts}, {"magus", opts}, {"ups", opts}};
+  me::RepeatSpec spec;
+  spec.repetitions = 3;
+  spec.seed = 11;
+  const auto runs =
+      me::run_repetitions(ms::intel_a100(), mw::make_workload("bfs"), arms, spec);
+
+  unsigned long long ticks = 0;
+  unsigned long long invocations = 0;
+  for (const auto& arm_runs : runs) {
+    for (const ms::SimResult& r : arm_runs) {
+      ticks += r.ticks;
+      invocations += r.invocations;
+    }
+  }
+  EXPECT_EQ(reg.counter("magus_sim_runs_total")->value(), arms.size() * 3u);
+  EXPECT_EQ(reg.counter("magus_sim_steps_total")->value(), ticks);
+  EXPECT_EQ(reg.counter("magus_sim_policy_invocations_total")->value(), invocations);
+  EXPECT_EQ(reg.counter("magus_exp_reps_completed_total")->value(), arms.size() * 3u);
+  EXPECT_GT(reg.gauge("magus_sim_time_seconds")->value(), 0.0);
 }

@@ -5,9 +5,11 @@
 //   magus-cli run --system intel_a100 --app unet --policy magus
 //                 [--reps 7] [--seed 2025] [--gpus N] [--jobs N] [--trace out.csv]
 //       Run one workload under one policy; print the paper's metrics vs the
-//       default baseline. Repetitions fan out across --jobs worker threads
-//       (default: MAGUS_JOBS env var, else hardware concurrency); results
-//       are bit-identical for any job count.
+//       default baseline. Each repetition runs the default and the chosen
+//       policy as lanes of one batch; repetitions fan out across --jobs
+//       worker threads (default: MAGUS_JOBS env var, else hardware
+//       concurrency; at most common::kMaxWorkers); results are bit-identical
+//       for any job count. --reps takes at most exp::kMaxRepetitions.
 //   magus-cli overhead --system intel_a100 [--duration 600]
 //       Table 2 protocol on one system.
 //   magus-cli fleet [--nodes 256] [--seed 2025] [--jobs N] [--shard-size 16]
@@ -81,7 +83,9 @@ int usage() {
             << "\n"
             << "  --jobs N (or the MAGUS_JOBS env var) sets the worker-thread "
                "count for the\n"
-            << "  repetition fan-out; results are identical for any job count.\n"
+            << "  repetition fan-out, at most " << common::kMaxWorkers
+            << "; results are identical for any job count.\n"
+            << "  --reps N takes at most " << exp::kMaxRepetitions << " repetitions.\n"
             << "  --metrics-out writes a Prometheus text snapshot of the run's "
                "telemetry\n"
             << "  (never changes the results).\n";
@@ -119,10 +123,11 @@ double real_flag(const Flags& flags, const std::string& name) {
   return common::parse_named("--" + name, flags.at(name), common::parse_finite_double);
 }
 
-/// A count: an integer >= 1.
-int count_flag(const Flags& flags, const std::string& name) {
-  return common::parse_named("--" + name, flags.at(name), [](const std::string& v) {
-    return common::parse_int_in_range(v, 1, std::numeric_limits<int>::max());
+/// A count: an integer in [1, hi].
+int count_flag(const Flags& flags, const std::string& name,
+               int hi = std::numeric_limits<int>::max()) {
+  return common::parse_named("--" + name, flags.at(name), [hi](const std::string& v) {
+    return common::parse_int_in_range(v, 1, hi);
   });
 }
 
@@ -153,7 +158,8 @@ int cmd_list() {
 /// honors on its own) and report the effective worker count.
 std::size_t configure_jobs(const Flags& flags) {
   if (flags.count("jobs")) {
-    common::set_default_jobs(static_cast<std::size_t>(count_flag(flags, "jobs")));
+    common::set_default_jobs(static_cast<std::size_t>(
+        count_flag(flags, "jobs", static_cast<int>(common::kMaxWorkers))));
   }
   return common::default_pool().size();
 }
@@ -169,7 +175,7 @@ int cmd_run(const Flags& flags) {
   const std::size_t workers = configure_jobs(flags);
 
   exp::RepeatSpec reps;
-  if (flags.count("reps")) reps.repetitions = count_flag(flags, "reps");
+  if (flags.count("reps")) reps.repetitions = count_flag(flags, "reps", exp::kMaxRepetitions);
   if (flags.count("seed")) reps.seed = u64_flag(flags, "seed");
 
   wl::PhaseProgram program = app.size() > 4 && app.substr(app.size() - 4) == ".csv"
@@ -200,8 +206,10 @@ int cmd_run(const Flags& flags) {
     run_opts.metrics = &registry;
   }
 
-  const auto base = exp::run_repeated(system, program, "default", reps, run_opts);
-  const auto cand = exp::run_repeated(system, program, policy, reps, run_opts);
+  const auto agg =
+      exp::run_repeated(system, program, {{"default", run_opts}, {policy, run_opts}}, reps);
+  const exp::AggregateResult& base = agg[0];
+  const exp::AggregateResult& cand = agg[1];
   const auto cmp = exp::compare(cand, base);
 
   common::TextTable table({"policy", "runtime (s)", "CPU power (W)", "GPU power (W)",

@@ -481,7 +481,7 @@ int run_fleet(const std::map<std::string, std::string>& flags) {
   std::signal(SIGTERM, handle_signal);
 
   if (flags.count("jobs")) {
-    const int jobs = int_flag(flags, "jobs", 1, std::numeric_limits<int>::max());
+    const int jobs = int_flag(flags, "jobs", 1, static_cast<int>(common::kMaxWorkers));
     common::set_default_jobs(static_cast<std::size_t>(jobs));
   }
 
