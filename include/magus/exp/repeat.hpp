@@ -6,8 +6,8 @@
 // A comparison runs several policy arms over the same repetitions.
 // Repetition r of every arm sees the same jittered program and the same
 // engine seed, so one repetition is one exp::BatchRun with a lane per arm:
-// the first lane draws the repetition's noise and the others replay it
-// (sim/batch_engine.hpp). Per run the result is bit-identical to
+// the arms tick in lockstep on one noise draw per tick, the first two as a
+// two-wide pair (sim/batch_engine.hpp). Per run the result is bit-identical to
 // exp::run_policy on the same inputs. Repetitions fan out on the shared
 // pool; the single-policy run_repeated is the one-arm case.
 

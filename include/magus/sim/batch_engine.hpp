@@ -10,18 +10,24 @@
 // virtual dispatch (policy callbacks run only at sample boundaries, every
 // ~150 ticks).
 //
-// One noise draw per seed: a lane's per-tick jitter is a pure function of
-// its EngineConfig::seed and the tick index, and the fleet runs every node
-// twice on one seed (the policy lane and its default twin). run_all groups
-// lanes by seed, wherever they sit in lane order, and runs the groups one
-// after another, each lane to completion. A group's first lane records its
-// draws on a tape the engine owns and reuses; each later lane replays the
-// tape and, past its end, continues from a copy of the first lane's final
-// stream -- the draws it would have made itself, so sharing moves no bit.
-// The repetition protocol (exp::run_repeated) shares the same way: one
-// repetition's policy arms are lanes of one engine on the repetition's seed.
+// Lockstep seed groups: a lane's per-tick jitter is a pure function of its
+// EngineConfig::seed and the tick index, and the fleet runs every node twice
+// on one seed (the policy lane and its default twin); the repetition
+// protocol (exp::run_repeated) runs one repetition's policy arms as lanes of
+// one engine on the repetition's seed. run_all groups lanes by seed,
+// wherever they sit in lane order, and ticks each group in lockstep by tick
+// index: one jitter draw per tick serves every lane of the group. Inside a
+// group, consecutive lanes with equal kern::NodeParams pair up and tick
+// together through the two-wide kernel (sim::LanePair, slot k = lane k); a
+// leftover lane ticks at width 1 on the store. A pair's state goes back to
+// the store whenever a hook or backend can see it -- at each of a slot's
+// sample boundaries and when it finishes -- and a slot that finishes or
+// fails leaves its partner to go on at width 1. Slot k of the two-wide tick
+// is bit-identical to the width-1 tick, so pairing moves no bit. A group
+// with one running lane is the degenerate case: that lane ticks at width 1
+// on Rng(seed), the draws its own stream would give.
 //
-// The per-lane loop is SimEngine::run's without trace recording, over the
+// Per lane, the loop is SimEngine::run's without trace recording, over the
 // same kernel, backends and sample-boundary charge, so a lane's result is
 // bit-identical to SimEngine::run on the same (system, program, config,
 // hook). The fleet rollup goldens in tests/fleet/golden/ pin the batched
@@ -31,7 +37,8 @@
 // false). A lane with attach_telemetry counts its finished run into the
 // engine series the way SimEngine::run does (EngineTelemetry), without the
 // live per-sample sim-time gauge. Policy-level telemetry
-// (PolicyContext::metrics/events) works unchanged.
+// (PolicyContext::metrics/events) works unchanged, except that the
+// callbacks of one seed group's lanes interleave in tick order.
 
 #include <cstddef>
 #include <deque>
@@ -75,9 +82,14 @@ class BatchEngine {
   [[nodiscard]] LaneBackends& backends(std::size_t lane) { return lanes_[lane].hw; }
 
   /// Run every lane to completion (or its safety cap). Call at most once.
-  /// A lane whose policy callback throws is recorded failed and isolated;
-  /// sibling lanes, including those sharing its seed, are unaffected.
+  /// A lane whose policy callback throws -- anything, std::exception or
+  /// not -- is recorded failed and isolated; sibling lanes, including those
+  /// sharing its seed or its pair, are unaffected.
   void run_all();
+
+  /// lane_error of a lane whose policy threw something other than a
+  /// std::exception.
+  static constexpr const char* kNonStandardError = "policy threw a non-standard exception";
 
   [[nodiscard]] std::size_t lane_count() const noexcept { return lanes_.size(); }
   [[nodiscard]] bool lane_failed(std::size_t lane) const { return lanes_[lane].failed; }
@@ -85,7 +97,8 @@ class BatchEngine {
     return lanes_[lane].error;
   }
   /// The exception a failed lane's policy threw, type intact, for callers
-  /// that rethrow it (null unless lane_failed).
+  /// that rethrow it (null unless lane_failed). lane_error is its what(),
+  /// or kNonStandardError when it is not a std::exception.
   [[nodiscard]] std::exception_ptr lane_exception(std::size_t lane) const {
     return lanes_[lane].exception;
   }
@@ -101,20 +114,23 @@ class BatchEngine {
   /// addresses stay stable while lanes are added (policy lambdas point into
   /// the backends).
   struct Lane {
-    Lane(LaneStore& store, std::size_t index, const CpuSpec& cpu_spec, wl::PhaseProgram prog,
-         const EngineConfig& config)
-        : cpu(cpu_spec),
+    Lane(LaneStore& store, std::size_t lane_index, const CpuSpec& cpu_spec,
+         wl::PhaseProgram prog, const EngineConfig& config)
+        : index(lane_index),
+          cpu(cpu_spec),
           program(std::move(prog)),
           cfg(config),
-          hw(store, index),
+          hw(store, lane_index),
           executor(program) {}
 
-    CpuSpec cpu;  ///< invocation-cost coefficients
+    std::size_t index;  ///< the lane's index in the store
+    CpuSpec cpu;        ///< invocation-cost coefficients
     wl::PhaseProgram program;
     EngineConfig cfg;
     LaneBackends hw;
     PolicyHook hook;
     ProgramExecutor executor;  ///< walks `program` (deque: its address is stable)
+    RunClock clock;
     EngineTelemetry telemetry;
     bool failed = false;
     std::string error;
@@ -122,23 +138,62 @@ class BatchEngine {
     SimResult result;
   };
 
-  /// Run lane `index` from on_start to its end with jitter from `noise`
-  /// (OwnNoise, or the tape recorder/replayer in batch_engine.cpp).
-  /// MAGUS_LOCK_FREE: runs only inside run_all's HotPathSection, so taking
-  /// any AnnotatedMutex in its body is a compile error under Clang — the
-  /// compiler-checked half of the marker-comment hot-path lint contract.
-  /// (Policy callbacks invoked at sample boundaries are std::function and
-  /// opaque to the analysis; they manage their own hot sections.)
-  template <class Noise>
-  void run_lane(std::size_t index, Noise& noise) MAGUS_LOCK_FREE;
-  /// Run the lanes `group` lists, which share one seed, in order.
+  /// Two lanes of a seed group ticking as one pack.
+  struct Pair {
+    LanePair state;
+    Lane* lane[2] = {nullptr, nullptr};
+    kern::Pack2 dt{};                   ///< each slot's tick_s
+    BasicWorkSlice<kern::Pack2> slice;  ///< each slot's current phase
+  };
+
+  // The members below run only inside run_all's HotPathSection:
+  // MAGUS_LOCK_FREE makes taking any AnnotatedMutex in their bodies a compile
+  // error under Clang -- the compiler-checked half of the marker-comment
+  // hot-path lint contract. (Policy callbacks invoked at sample boundaries
+  // are std::function and opaque to the analysis; they manage their own hot
+  // sections.)
+
+  /// Run the lanes `group` lists, which share one seed: start them, then
+  /// tick the ones still running in lockstep.
   void run_group(std::span<const std::size_t> group) MAGUS_LOCK_FREE;
+  /// Tick `running`, started lanes of one seed, in lockstep to their ends.
+  void run_lockstep(std::span<Lane* const> running) MAGUS_LOCK_FREE;
+  /// Tick a pair once on `jitter`. False when a slot's run ended; a partner
+  /// still running is then saved to the store and queued on `singles_`.
+  bool step_pair(Pair& pair, double jitter) MAGUS_LOCK_FREE;
+  /// step_pair's rare half: slot sample boundaries, finished slots, phase
+  /// changes.
+  bool pair_events(Pair& pair, const bool moved[2]) MAGUS_LOCK_FREE;
+  /// Tick a lane once at width 1 on `jitter`. False once its run is over.
+  bool step_single(Lane& lane, double jitter) MAGUS_LOCK_FREE;
+  /// Run the lane's sample boundary. False when its policy threw.
+  bool sample(Lane& lane) MAGUS_LOCK_FREE;
+  /// Fill the lane's result from the store once its run is over.
+  void finish(Lane& lane) MAGUS_LOCK_FREE;
+  /// Record the exception being handled as the lane's failure.
+  static void fail(Lane& lane, const char* what);
+  /// Advance the lane's program and clock past one tick at progress rate
+  /// `rate`; true when that moved its program past a phase.
+  static bool advance(Lane& lane, double rate) {
+    const bool moved = lane.executor.advance(lane.cfg.tick_s * rate);
+    ++lane.clock.ticks;
+    lane.clock.t += lane.cfg.tick_s;
+    return moved;
+  }
+  /// True once the lane's program is done or its safety cap is hit.
+  [[nodiscard]] static bool over(const Lane& lane) {
+    return lane.executor.done() || lane.clock.t >= lane.clock.max_sim;
+  }
+  [[nodiscard]] static bool sample_due(const Lane& lane) {
+    return lane.clock.t >= lane.clock.next_sample_t;
+  }
 
   LaneStore store_;
   std::deque<Lane> lanes_;
-  /// The jitter a seed group's first lane drew, one entry per tick. Grown
-  /// only between run_to_boundary calls; reused by every group.
-  std::vector<double> tape_;
+  /// The current group's work lists, sized in run_all so the sweep never
+  /// allocates: its pairs and the lanes ticking at width 1.
+  std::vector<Pair> pairs_;
+  std::vector<Lane*> singles_;
   unsigned long long total_ticks_ = 0;
   bool ran_ = false;
 };

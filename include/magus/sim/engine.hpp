@@ -135,26 +135,25 @@ struct RunClock {
 
 /// Why run_to_boundary returned.
 enum class Stop {
-  kSample,     ///< at the lane's next sample boundary
-  kFinished,   ///< program done or safety cap hit
-  kNoiseFull,  ///< the noise source is full; call again once it has room
+  kSample,    ///< at the lane's next sample boundary
+  kFinished,  ///< program done or safety cap hit
 };
 
-/// The tick loop every engine runs: advance `lane` tick by tick until its
-/// next sample boundary or the end of its run. Each tick's jitter comes from
-/// `noise` (see OwnNoise in sim/node.hpp); a source whose full() is constant
-/// false costs no check. `observe(t, slice, out)` sees each tick before the
-/// clock moves past it; SimEngine records traces there, BatchEngine passes a
-/// no-op the compiler removes.
-template <class Noise, class Observe>
+/// SimEngine's tick loop: advance `lane` tick by tick until its next sample
+/// boundary or the end of its run, each tick's jitter drawn from the lane's
+/// own noise stream. `observe(t, slice, out)` sees each tick before the clock
+/// moves past it; SimEngine records traces there. BatchEngine runs the same
+/// per-tick steps over a seed group in lockstep (sim/batch_engine.hpp).
+template <class Observe>
 Stop run_to_boundary(LaneStore& store, std::size_t lane, ProgramExecutor& exec, double dt,
-                     RunClock& clock, Noise& noise, Observe&& observe) {
+                     RunClock& clock, Observe&& observe) {
   // magus:hot-path-begin
+  common::Rng& noise = store.noise_rng(lane);
   for (;;) {
     if (exec.done() || clock.t >= clock.max_sim) return Stop::kFinished;
-    if (noise.full()) return Stop::kNoiseFull;
     const WorkSlice slice = exec.slice();
-    const TickOutput out = store.tick(lane, dt, slice, clock.extra_w(), noise);
+    const TickOutput out =
+        store.tick(lane, dt, slice, clock.extra_w(), noise.jitter(kern::kTrafficNoiseRel));
     exec.advance(dt * out.progress_rate);
     ++clock.ticks;
     observe(clock.t, slice, out);

@@ -2,20 +2,31 @@
 // The node-tick kernel (namespace magus::sim::kern).
 //
 // One copy of the per-tick arithmetic, written against plain-old-data state
-// structs and a `Lane` accessor concept. LaneStore (sim/node.hpp) is the one
-// instantiation: its struct-of-arrays view is what NodeModel/SimEngine tick
-// as a single lane and BatchEngine ticks across a fleet shard, so every
-// engine runs the same IEEE-754 operation sequence. The golden determinism
-// tests and the fleet rollup goldens pin its bit patterns. Keep every
-// expression here in the exact order it has -- reassociating a sum or
-// hoisting a multiply changes bit patterns and breaks the goldens.
+// structs and a `Lane` accessor concept, and templated on the lane value
+// type V (sim/pack.hpp): `double` ticks one lane -- the LaneStore view that
+// NodeModel/SimEngine and BatchEngine's leftover lanes tick -- and
+// `kern::Pack2` ticks two lanes at once in the two slots of one SSE2
+// register (BatchEngine's lockstep pairs, sim::LanePair). Slot k of a Pack2
+// tick runs exactly the IEEE-754 operation sequence a double tick runs on
+// lane k: every branch is an exact select that keeps std::min/max/clamp
+// operand order (skipped whole when no slot would take it, so a steady
+// lane's state does not wait on the select's inputs), memo misses (the
+// governor exp, the boost pow, the ladder quantisation) are computed slot by
+// slot in scalar, and nothing is reassociated. The golden determinism tests
+// and the fleet rollup goldens pin its bit patterns, and
+// tests/sim/test_kernel_width.cpp checks a width-2 tick against two width-1
+// ticks. Keep every expression here in the exact order it has --
+// reassociating a sum or hoisting a multiply changes bit patterns and breaks
+// the goldens. The build pins -ffp-contract=off so no multiply-add is fused.
 //
 // Hoist or memoize a value only when its inputs are bit-identical: the same
 // IEEE-754 operation on the same operands gives the same bits, so reusing
 // the result is exact. The governor alphas (1 - exp(-dt/tau)) are memoized
-// on dt and the GPU boost curve (pow(util, 0.7)) on util, both in the lane's
-// own state, so a lane ticking at its fixed tick_s pays each exp once and a
-// steady phase pays the pow once; any other dt or util recomputes.
+// on dt, the GPU boost curve (pow(util, 0.7)) on util and the firmware cap's
+// ladder quantisation on the cap, all in the lane's own state, so a lane
+// ticking at its fixed tick_s pays each exp once, a steady phase pays the
+// pow once and a steady firmware cap the quantisation once; any other input
+// recomputes.
 //
 // Functions here are contract-free on purpose: inputs are validated where
 // they enter (LaneStore::add_lane, the hw backends, manifest validation), so
@@ -27,28 +38,33 @@
 
 #include "magus/hw/uncore_freq.hpp"
 #include "magus/sim/memory_system.hpp"
+#include "magus/sim/pack.hpp"
 #include "magus/sim/system_preset.hpp"
 
 namespace magus::sim {
 
 /// Instantaneous workload requirements for one tick.
-struct WorkSlice {
-  double demand_mbps = 0.0;     ///< node-wide DRAM traffic demand
-  double mem_bound_frac = 0.0;  ///< progress fraction gated on memory
-  double cpu_util = 0.0;
-  double gpu_util = 0.0;
+template <class V>
+struct BasicWorkSlice {
+  V demand_mbps{};     ///< node-wide DRAM traffic demand
+  V mem_bound_frac{};  ///< progress fraction gated on memory
+  V cpu_util{};
+  V gpu_util{};
 };
+using WorkSlice = BasicWorkSlice<double>;
 
 /// Results of one tick, consumed by the engine for progress + tracing.
-struct TickOutput {
-  double progress_rate = 1.0;  ///< d(progress)/dt, <= 1 when stretched
-  double delivered_mbps = 0.0;
-  double pkg_power_w = 0.0;   ///< all sockets
-  double dram_power_w = 0.0;  ///< all sockets
-  double gpu_power_w = 0.0;   ///< all boards
-  double uncore_freq_ghz = 0.0;
-  double stretch = 1.0;
+template <class V>
+struct BasicTickOutput {
+  V progress_rate = kern::splat<V>(1.0);  ///< d(progress)/dt, <= 1 when stretched
+  V delivered_mbps{};
+  V pkg_power_w{};   ///< all sockets
+  V dram_power_w{};  ///< all sockets
+  V gpu_power_w{};   ///< all boards
+  V uncore_freq_ghz{};
+  V stretch = kern::splat<V>(1.0);
 };
+using TickOutput = BasicTickOutput<double>;
 
 namespace kern {
 
@@ -73,38 +89,50 @@ inline constexpr int kMaxDomains = 64;
 
 // --- per-subsystem state (POD, SoA-friendly) -------------------------------
 
-struct UncoreState {
-  double policy_limit_ghz = 0.0;  ///< MSR 0x620 MAX_RATIO, ladder-clamped
-  double firmware_cap_ghz = 0.0;  ///< TDP back-off cap on top of the limit
-  double freq_ghz = 0.0;          ///< effective frequency (slews to the min)
+/// A memoized f(x): `value` holds f(`arg`), slot by slot. NaN never compares
+/// equal, so the first lookup always computes.
+template <class V>
+struct BasicMemo {
+  V arg = splat<V>(std::numeric_limits<double>::quiet_NaN());
+  V value{};
 };
 
-struct FirmwareState {
-  double cap_ghz = 0.0;
-  double hold_s = 0.0;  ///< dwell before raising the cap back up
+template <class V>
+struct BasicUncoreState {
+  V policy_limit_ghz{};  ///< MSR 0x620 MAX_RATIO, ladder-clamped
+  V firmware_cap_ghz{};  ///< TDP back-off cap on top of the limit
+  V freq_ghz{};          ///< effective frequency (slews to the min)
 };
 
-/// A memoized f(x): `value` holds f(`arg`). NaN never compares equal, so the
-/// first lookup always computes.
-struct Memo {
-  double arg = std::numeric_limits<double>::quiet_NaN();
-  double value = 0.0;
+template <class V>
+struct BasicFirmwareState {
+  V cap_ghz{};
+  V hold_s{};              ///< dwell before raising the cap back up
+  BasicMemo<V> on_ladder;  ///< the cap quantised onto the ladder, on the cap
 };
 
-struct CoreState {
-  double freq_ghz = 0.0;
-  double cycles = 0.0;        ///< per-core cumulative unhalted cycles
-  double instructions = 0.0;  ///< per-core cumulative retired instructions
-  Memo alpha;                 ///< governor alpha on dt
+template <class V>
+struct BasicCoreState {
+  V freq_ghz{};
+  V cycles{};          ///< per-core cumulative unhalted cycles
+  V instructions{};    ///< per-core cumulative retired instructions
+  BasicMemo<V> alpha;  ///< governor alpha on dt
 };
 
-struct GpuState {
-  double clock_ghz = 0.0;
-  double power_w = 0.0;  ///< all boards summed
-  double energy_j = 0.0;
-  Memo alpha;  ///< governor alpha on dt
-  Memo boost;  ///< boost curve pow(util, 0.7) on the clamped util
+template <class V>
+struct BasicGpuState {
+  V clock_ghz{};
+  V power_w{};  ///< all boards summed
+  V energy_j{};
+  BasicMemo<V> alpha;  ///< governor alpha on dt
+  BasicMemo<V> boost;  ///< boost curve pow(util, 0.7) on the clamped util
 };
+
+using UncoreState = BasicUncoreState<double>;
+using FirmwareState = BasicFirmwareState<double>;
+using Memo = BasicMemo<double>;
+using CoreState = BasicCoreState<double>;
+using GpuState = BasicGpuState<double>;
 
 // --- precomputed per-system parameters -------------------------------------
 
@@ -112,6 +140,8 @@ struct FirmwareParams {
   double threshold_w = 0.0;  ///< tdp_w * backoff_frac
   double floor_ghz = 0.0;    ///< spec uncore min (unquantised)
   double ceiling_ghz = 0.0;  ///< spec uncore max (unquantised)
+
+  bool operator==(const FirmwareParams&) const = default;
 };
 
 struct UncoreParams {
@@ -122,6 +152,8 @@ struct UncoreParams {
   double bw_floor_frac = 0.0;
   double peak_mem_bw_mbps = 0.0;
   double ladder_max_ghz = 0.0;  ///< quantised ladder top, not the spec value
+
+  bool operator==(const UncoreParams&) const = default;
 };
 
 struct CoreParams {
@@ -129,6 +161,8 @@ struct CoreParams {
   double max_ghz = 0.0;
   double idle_w = 0.0;
   double dyn_w = 0.0;
+
+  bool operator==(const CoreParams&) const = default;
 };
 
 struct GpuParams {
@@ -137,9 +171,12 @@ struct GpuParams {
   double idle_w = 0.0;
   double peak_w = 0.0;
   int count = 0;
+
+  bool operator==(const GpuParams&) const = default;
 };
 
-/// Everything node_tick needs, precomputed once per system spec.
+/// Everything node_tick needs, precomputed once per system spec. Two lanes
+/// tick as one Pack2 only when their NodeParams compare equal.
 struct NodeParams {
   int sockets = 0;
   int dies_per_socket = 1;  ///< uncore domains per socket
@@ -152,6 +189,8 @@ struct NodeParams {
   GpuParams gpu;
   double dram_idle_w = 0.0;
   double dram_dyn_w = 0.0;
+
+  bool operator==(const NodeParams&) const = default;
 
   [[nodiscard]] int domains() const noexcept { return sockets * dies_per_socket; }
 
@@ -204,7 +243,7 @@ struct NodeParams {
 }
 
 [[nodiscard]] inline FirmwareState init_firmware(const FirmwareParams& p) {
-  return {p.ceiling_ghz, 0.0};
+  return {p.ceiling_ghz, 0.0, {}};
 }
 
 [[nodiscard]] inline CoreState init_core(const CoreParams& p) {
@@ -223,38 +262,63 @@ struct NodeParams {
 // magus:hot-path-begin
 // --- per-subsystem step functions ------------------------------------------
 
-/// Governor smoothing factor 1 - exp(-dt / tau), memoized on dt.
-inline double governor_alpha(Memo& m, double dt, double tau) {
-  if (dt != m.arg) {
-    m.arg = dt;
-    m.value = 1.0 - std::exp(-dt / tau);
+/// f(x) through the memo `m`, slot by slot: a slot whose x moved computes
+/// f in scalar, the others reuse their value.
+template <class V, class F>
+inline V memoized(BasicMemo<V>& m, V x, F f) {
+  if (any(x != m.arg)) {
+    for (int k = 0; k < kSlots<V>; ++k) {
+      const double xk = slot(x, k);
+      if (xk != slot(m.arg, k)) {
+        set_slot(m.arg, k, xk);
+        set_slot(m.value, k, f(xk));
+      }
+    }
   }
   return m.value;
+}
+
+/// Governor smoothing factor 1 - exp(-dt / tau), memoized on dt.
+template <class V>
+inline V governor_alpha(BasicMemo<V>& m, V dt, double tau) {
+  return memoized(m, dt, [tau](double x) { return 1.0 - std::exp(-x / tau); });
 }
 
 /// SM clock boost curve pow(util, 0.7), memoized on util.
-inline double gpu_boost(Memo& m, double util) {
-  if (util != m.arg) {
-    m.arg = util;
-    m.value = std::pow(util, 0.7);
-  }
-  return m.value;
+template <class V>
+inline V gpu_boost(BasicMemo<V>& m, V util) {
+  return memoized(m, util, [](double x) { return std::pow(x, 0.7); });
 }
 
-/// Stock TDP-coupled firmware behaviour; returns the (unclamped) cap.
-inline double firmware_update(FirmwareState& st, const FirmwareParams& p, double dt,
-                              double pkg_w) {
-  if (pkg_w > p.threshold_w) {
-    st.cap_ghz = std::max(p.floor_ghz, st.cap_ghz - kFirmwareStepGhz);
-    st.hold_s = kFirmwareRaiseDwellS;
-  } else {
-    st.hold_s -= dt;
-    if (st.hold_s <= 0.0 && st.cap_ghz < p.ceiling_ghz) {
-      st.cap_ghz = std::min(p.ceiling_ghz, st.cap_ghz + kFirmwareStepGhz);
-      st.hold_s = kFirmwareRaiseDwellS;
-    }
+/// Stock TDP-coupled firmware behaviour; returns the (unclamped) cap. Above
+/// the threshold the cap steps down and the dwell restarts; below it the
+/// dwell runs down, and once spent the cap steps back up (dwell restarts).
+/// When no slot steps -- the steady case -- one predictable branch skips the
+/// selects, so the cap carries no data dependency on the previous tick's
+/// package power.
+template <class V>
+inline V firmware_update(BasicFirmwareState<V>& st, const FirmwareParams& p, V dt, V pkg_w) {
+  const auto hot = pkg_w > p.threshold_w;
+  const V held = st.hold_s - dt;
+  const auto raise = mand(mnot(hot), mand(held <= 0.0, st.cap_ghz < p.ceiling_ghz));
+  if (!any(mor(hot, raise))) {
+    st.hold_s = held;
+    return st.cap_ghz;
   }
+  const V lowered = vmax(splat<V>(p.floor_ghz), st.cap_ghz - kFirmwareStepGhz);
+  const V raised = vmin(splat<V>(p.ceiling_ghz), st.cap_ghz + kFirmwareStepGhz);
+  st.cap_ghz = sel(hot, lowered, sel(raise, raised, st.cap_ghz));
+  st.hold_s = sel(mor(hot, raise), splat<V>(kFirmwareRaiseDwellS), held);
   return st.cap_ghz;
+}
+
+/// The firmware cap quantised onto the ladder (UncoreFreqLadder::clamp_ghz),
+/// memoized on the cap, which moves only when the firmware steps it.
+template <class V>
+inline V firmware_cap_on_ladder(BasicFirmwareState<V>& st,
+                                const hw::UncoreFreqLadder& ladder) {
+  return memoized(st.on_ladder, st.cap_ghz,
+                  [&ladder](double x) { return ladder.clamp_ghz(x); });
 }
 
 /// Policy-programmed max ratio limit (what MSR 0x620 writes set).
@@ -263,105 +327,102 @@ inline void uncore_set_policy_limit(UncoreState& st, const hw::UncoreFreqLadder&
   st.policy_limit_ghz = ladder.clamp_ghz(requested);
 }
 
+/// Firmware TDP cap, ladder-clamped (node_tick memoizes the same clamp:
+/// firmware_cap_on_ladder).
 inline void uncore_set_firmware_cap(UncoreState& st, const hw::UncoreFreqLadder& ladder,
                                     double requested) {
   st.firmware_cap_ghz = ladder.clamp_ghz(requested);
 }
 
-/// Slew the effective frequency toward min(policy limit, firmware cap).
-inline void uncore_tick(UncoreState& st, double dt) {
-  const double target = std::min(st.policy_limit_ghz, st.firmware_cap_ghz);
-  const double max_step = kUncoreSlewGhzPerS * dt;
-  if (st.freq_ghz < target) {
-    st.freq_ghz = std::min(target, st.freq_ghz + max_step);
-  } else if (st.freq_ghz > target) {
-    st.freq_ghz = std::max(target, st.freq_ghz - max_step);
-  }
+/// Slew the effective frequency toward min(policy limit, firmware cap). A
+/// frequency already at its target in every slot stays put without a select
+/// (the steady case; see firmware_update).
+template <class V>
+inline void uncore_tick(BasicUncoreState<V>& st, V dt) {
+  const V target = vmin(st.policy_limit_ghz, st.firmware_cap_ghz);
+  if (!any(mor(st.freq_ghz < target, st.freq_ghz > target))) return;
+  const V max_step = kUncoreSlewGhzPerS * dt;
+  const V up = vmin(target, st.freq_ghz + max_step);
+  const V down = vmax(target, st.freq_ghz - max_step);
+  st.freq_ghz = sel(st.freq_ghz < target, up, sel(st.freq_ghz > target, down, st.freq_ghz));
 }
 
 /// Deliverable DRAM bandwidth (MB/s, per socket) at frequency `f` GHz.
-[[nodiscard]] inline double uncore_capacity_at(const UncoreParams& p, double f) {
-  const double frac = p.bw_floor_frac + (1.0 - p.bw_floor_frac) * (f / p.ladder_max_ghz);
+template <class V>
+[[nodiscard]] inline V uncore_capacity_at(const UncoreParams& p, V f) {
+  const V frac = p.bw_floor_frac + (1.0 - p.bw_floor_frac) * (f / p.ladder_max_ghz);
   return p.peak_mem_bw_mbps * frac;
 }
 
 /// Uncore power (W) at the current frequency and a utilisation in [0,1].
-[[nodiscard]] inline double uncore_power(const UncoreState& st, const UncoreParams& p,
-                                         double utilization) {
-  const double u = std::clamp(utilization, 0.0, 1.0);
-  const double f = st.freq_ghz;
-  const double dyn = p.k1_w_per_ghz * f + p.k2_w_per_ghz2 * f * f;
-  const double activity = p.util_floor + (1.0 - p.util_floor) * u;
+template <class V>
+[[nodiscard]] inline V uncore_power(const BasicUncoreState<V>& st, const UncoreParams& p,
+                                    V utilization) {
+  const V u = vclamp(utilization, splat<V>(0.0), splat<V>(1.0));
+  const V f = st.freq_ghz;
+  const V dyn = p.k1_w_per_ghz * f + p.k2_w_per_ghz2 * f * f;
+  const V activity = p.util_floor + (1.0 - p.util_floor) * u;
   return p.leak_w + dyn * activity;
 }
 
-inline void core_tick(CoreState& st, const CoreParams& p, double dt, double util,
-                      double ipc_eff) {
-  util = std::clamp(util, 0.0, 1.0);
+template <class V>
+inline void core_tick(BasicCoreState<V>& st, const CoreParams& p, V dt, V util, V ipc_eff) {
+  util = vclamp(util, splat<V>(0.0), splat<V>(1.0));
   // Stock DVFS: frequency follows load, saturating toward max under load.
-  const double target =
-      std::min(p.max_ghz, p.min_ghz + (p.max_ghz - p.min_ghz) * util * 1.4);
-  const double alpha = governor_alpha(st.alpha, dt, kCoreGovernorTau);
+  const V target =
+      vmin(splat<V>(p.max_ghz), p.min_ghz + (p.max_ghz - p.min_ghz) * util * 1.4);
+  const V alpha = governor_alpha(st.alpha, dt, kCoreGovernorTau);
   st.freq_ghz += (target - st.freq_ghz) * alpha;
 
   // Fixed counters advance only while cores are unhalted.
-  const double active = std::max(util, 0.02);  // housekeeping threads
-  const double cycles_delta = st.freq_ghz * 1e9 * active * dt;
+  const V active = vmax(util, splat<V>(0.02));  // housekeeping threads
+  const V cycles_delta = st.freq_ghz * 1e9 * active * dt;
   st.cycles += cycles_delta;
-  st.instructions += cycles_delta * std::max(0.05, ipc_eff);
+  st.instructions += cycles_delta * vmax(splat<V>(0.05), ipc_eff);
 }
 
 /// Core (non-uncore) power per socket at the current operating point.
-[[nodiscard]] inline double core_power_w(const CoreState& st, const CoreParams& p,
-                                         double util) {
-  util = std::clamp(util, 0.0, 1.0);
-  const double ffrac = st.freq_ghz / p.max_ghz;
+template <class V>
+[[nodiscard]] inline V core_power_w(const BasicCoreState<V>& st, const CoreParams& p, V util) {
+  util = vclamp(util, splat<V>(0.0), splat<V>(1.0));
+  const V ffrac = st.freq_ghz / p.max_ghz;
   return p.idle_w + p.dyn_w * util * ffrac * ffrac;
 }
 
-/// Display frequency of core `core` at sim time `now`: the governor
-/// frequency plus a per-core spread. Each core's governor hunts
-/// independently; a small phase-shifted oscillation reproduces the scatter
-/// in Fig. 1a. Trace-only: nothing in the tick reads it.
-[[nodiscard]] inline double core_display_freq_ghz(const CoreState& st, const CoreParams& p,
-                                                  int core, common::Seconds now) {
-  const double phase = static_cast<double>(core) * 0.37;
-  const double wobble = 0.04 * std::sin(6.2831853 * (now.value() / 1.1 + phase));
-  const double f = st.freq_ghz * (1.0 + wobble);
-  return std::clamp(f, p.min_ghz, p.max_ghz);
-}
-
-inline void gpu_tick(GpuState& st, const GpuParams& p, double dt, double util_effective) {
-  const double util = std::clamp(util_effective, 0.0, 1.0);
+template <class V>
+inline void gpu_tick(BasicGpuState<V>& st, const GpuParams& p, V dt, V util_effective) {
+  const V util = vclamp(util_effective, splat<V>(0.0), splat<V>(1.0));
   // SM clock boosts with load (sub-linear: boost bins saturate early).
-  const double target =
+  const V target =
       p.base_clock_ghz + (p.max_clock_ghz - p.base_clock_ghz) * gpu_boost(st.boost, util);
-  const double alpha = governor_alpha(st.alpha, dt, kGpuGovernorTau);
+  const V alpha = governor_alpha(st.alpha, dt, kGpuGovernorTau);
   st.clock_ghz += (target - st.clock_ghz) * alpha;
 
-  const double clock_frac = st.clock_ghz / p.max_clock_ghz;
-  const double per_board =
-      p.idle_w + (p.peak_w - p.idle_w) * util * clock_frac * clock_frac;
-  st.power_w = per_board * p.count;
+  const V clock_frac = st.clock_ghz / p.max_clock_ghz;
+  const V per_board = p.idle_w + (p.peak_w - p.idle_w) * util * clock_frac * clock_frac;
+  st.power_w = per_board * static_cast<double>(p.count);
   st.energy_j += st.power_w * dt;
 }
 
 // --- the whole-node tick ---------------------------------------------------
 
-/// Advance one node by `dt` under `slice`. `jitter` is the tick's traffic
-/// noise factor, drawn by the caller (common::Rng::jitter(kTrafficNoiseRel),
-/// one draw per tick): the draw is a pure function of the lane's seed and
-/// tick index, so it is an input here and the kernel owns no random stream.
-/// `Lane` adapts the storage layout:
-///   lane.uncore(d)   -> UncoreState&        lane.pkg_energy(s)  -> double&
-///   lane.firmware(s) -> FirmwareState&      lane.dram_energy(s) -> double&
-///   lane.core()      -> CoreState&          lane.last_pkg_w(s)  -> double&
-///   lane.gpu()       -> GpuState&           lane.traffic_mb()   -> double&
-///   lane.domain_traffic_mb(d)    -> double&   (cumulative MB, per domain)
-///   lane.domain_uncore_energy(d) -> double&   (cumulative J, per domain)
-///   lane.domain_stretch_time(d)  -> double&   (integral of stretch, per domain)
+/// Advance one node (V = double) or two (V = Pack2, one per slot) by `dt`
+/// under `slice`. `jitter` is the tick's traffic noise factor, drawn by the
+/// caller (common::Rng::jitter(kTrafficNoiseRel), one draw per tick): the
+/// draw is a pure function of the lane's seed and tick index, so it is an
+/// input here and the kernel owns no random stream. `Lane` adapts the
+/// storage layout, every accessor returning a reference to V-typed state:
+///   lane.uncore(d)   -> BasicUncoreState&    lane.pkg_energy(s)  -> V&
+///   lane.firmware(s) -> BasicFirmwareState&  lane.dram_energy(s) -> V&
+///   lane.core()      -> BasicCoreState&      lane.last_pkg_w(s)  -> V&
+///   lane.gpu()       -> BasicGpuState&       lane.traffic_mb()   -> V&
+///   lane.domain_traffic_mb(d)    -> V&   (cumulative MB, per domain)
+///   lane.domain_uncore_energy(d) -> V&   (cumulative J, per domain)
+///   lane.domain_stretch_time(d)  -> V&   (integral of stretch, per domain)
 /// `s` indexes sockets, `d` indexes uncore domains (socket-major:
 /// d = s * dies_per_socket + die). With one die per socket they coincide.
+/// Both slots of a Pack2 share `p`; dt, slice, monitor power and jitter may
+/// differ per slot.
 ///
 /// Two bodies share the entry point. p.single_domain() selects the legacy
 /// path, whose statement order the seed goldens pin; the per-domain accumulators
@@ -370,54 +431,55 @@ inline void gpu_tick(GpuState& st, const GpuParams& p, double dt, double util_ef
 /// across domains (numa_skew pinned to domain 0, remainder uniform), each
 /// domain services its share against its own die capacity, and node stretch
 /// is the worst domain's.
-template <class Lane>
-TickOutput node_tick(Lane&& lane, const NodeParams& p, double dt, const WorkSlice& slice,
-                     double monitor_extra_w, double jitter) {
+template <class V, class Lane>
+BasicTickOutput<V> node_tick(Lane&& lane, const NodeParams& p, V dt,
+                             const BasicWorkSlice<V>& slice, V monitor_extra_w, V jitter) {
+  const V zero = splat<V>(0.0);
+  const V one = splat<V>(1.0);
   if (p.single_domain()) {
     // 1. Firmware governor per socket (stock TDP-coupled uncore behaviour),
     //    using the previous tick's power (sensor delay is ~1 tick anyway).
     for (int s = 0; s < p.sockets; ++s) {
-      const double cap = firmware_update(lane.firmware(s), p.fw, dt, lane.last_pkg_w(s));
-      uncore_set_firmware_cap(lane.uncore(s), p.ladder, cap);
+      BasicFirmwareState<V>& fw = lane.firmware(s);
+      firmware_update(fw, p.fw, dt, lane.last_pkg_w(s));
+      lane.uncore(s).firmware_cap_ghz = firmware_cap_on_ladder(fw, p.ladder);
       uncore_tick(lane.uncore(s), dt);
     }
 
     // 2. Memory service against the combined capacity.
-    const double demand = slice.demand_mbps + kBackgroundTrafficMbps;
-    double capacity = 0.0;
+    const V demand = slice.demand_mbps + kBackgroundTrafficMbps;
+    V capacity = zero;
     for (int s = 0; s < p.sockets; ++s) {
       capacity += uncore_capacity_at(p.uncore, lane.uncore(s).freq_ghz);
     }
-    const MemoryService mem =
-        service_memory(common::Mbps(demand), common::Mbps(capacity), slice.mem_bound_frac);
+    const BasicMemoryService<V> mem = service_memory(demand, capacity, slice.mem_bound_frac);
 
     // 3. Core + GPU domains. Memory stalls depress effective IPC and the
     //    device's achieved utilisation alike.
-    const double ipc_eff = kBaseIpc / mem.stretch;
+    const V ipc_eff = kBaseIpc / mem.stretch;
     core_tick(lane.core(), p.core, dt, slice.cpu_util, ipc_eff);
     gpu_tick(lane.gpu(), p.gpu, dt, slice.gpu_util / mem.stretch);
 
     // 4. Power + energy. The workload splits evenly across sockets; a running
     //    monitor executes on socket 0.
-    const double delivered_noisy =
-        std::max(0.0, mem.delivered.value() * jitter);
+    const V delivered_noisy = vmax(zero, mem.delivered * jitter);
     lane.traffic_mb() += delivered_noisy * dt;
 
-    double pkg_total = 0.0;
-    double dram_total = 0.0;
-    const double bw_frac_per_socket =
+    V pkg_total = zero;
+    V dram_total = zero;
+    const V bw_frac_per_socket =
         p.uncore.peak_mem_bw_mbps > 0.0
-            ? std::clamp(mem.delivered.value() / static_cast<double>(p.sockets) /
-                             p.uncore.peak_mem_bw_mbps,
-                         0.0, 1.0)
-            : 0.0;
-    const double domain_mb = delivered_noisy * dt / static_cast<double>(p.sockets);
+            ? vclamp(mem.delivered / static_cast<double>(p.sockets) /
+                         p.uncore.peak_mem_bw_mbps,
+                     zero, one)
+            : zero;
+    const V domain_mb = delivered_noisy * dt / static_cast<double>(p.sockets);
     for (int s = 0; s < p.sockets; ++s) {
-      const double core_w = core_power_w(lane.core(), p.core, slice.cpu_util);
-      const double uncore_w = uncore_power(lane.uncore(s), p.uncore, mem.utilization);
-      const double monitor_w = (s == 0) ? monitor_extra_w : 0.0;
-      const double pkg_w = core_w + uncore_w + monitor_w;
-      const double dram_w = p.dram_idle_w + p.dram_dyn_w * bw_frac_per_socket;
+      const V core_w = core_power_w(lane.core(), p.core, slice.cpu_util);
+      const V uncore_w = uncore_power(lane.uncore(s), p.uncore, mem.utilization);
+      const V monitor_w = (s == 0) ? monitor_extra_w : zero;
+      const V pkg_w = core_w + uncore_w + monitor_w;
+      const V dram_w = p.dram_idle_w + p.dram_dyn_w * bw_frac_per_socket;
       lane.pkg_energy(s) += pkg_w * dt;
       lane.dram_energy(s) += dram_w * dt;
       lane.last_pkg_w(s) = pkg_w;
@@ -430,7 +492,7 @@ TickOutput node_tick(Lane&& lane, const NodeParams& p, double dt, const WorkSlic
       lane.domain_stretch_time(s) += mem.stretch * dt;
     }
 
-    TickOutput out;
+    BasicTickOutput<V> out;
     out.progress_rate = 1.0 / mem.stretch;
     out.delivered_mbps = delivered_noisy;
     out.pkg_power_w = pkg_total;
@@ -447,43 +509,45 @@ TickOutput node_tick(Lane&& lane, const NodeParams& p, double dt, const WorkSlic
 
   // 1. Firmware per socket; its cap applies to every die in the package.
   for (int s = 0; s < p.sockets; ++s) {
-    const double cap = firmware_update(lane.firmware(s), p.fw, dt, lane.last_pkg_w(s));
+    BasicFirmwareState<V>& fw = lane.firmware(s);
+    firmware_update(fw, p.fw, dt, lane.last_pkg_w(s));
+    const V cap = firmware_cap_on_ladder(fw, p.ladder);
     for (int k = 0; k < dies; ++k) {
       const int d = s * dies + k;
-      uncore_set_firmware_cap(lane.uncore(d), p.ladder, cap);
+      lane.uncore(d).firmware_cap_ghz = cap;
       uncore_tick(lane.uncore(d), dt);
     }
   }
 
   // 2. Per-domain memory service: numa_skew of the demand pins to domain 0,
   //    the rest spreads evenly; each domain runs against its die capacity.
-  const double demand = slice.demand_mbps + kBackgroundTrafficMbps;
+  const V demand = slice.demand_mbps + kBackgroundTrafficMbps;
   const double spread = (1.0 - p.numa_skew) / static_cast<double>(domains);
-  double delivered_d[kMaxDomains];
-  double util_d[kMaxDomains];
-  double stretch_d[kMaxDomains];
-  double stretch = 1.0;
+  V delivered_d[kMaxDomains];
+  V util_d[kMaxDomains];
+  V stretch_d[kMaxDomains];
+  V stretch = one;
   for (int d = 0; d < domains; ++d) {
     const double share = spread + ((d == 0) ? p.numa_skew : 0.0);
-    const double cap_d = uncore_capacity_at(p.die, lane.uncore(d).freq_ghz);
-    const MemoryService m = service_memory(common::Mbps(demand * share),
-                                           common::Mbps(cap_d), slice.mem_bound_frac);
-    delivered_d[d] = m.delivered.value();
+    const V cap_d = uncore_capacity_at(p.die, lane.uncore(d).freq_ghz);
+    const BasicMemoryService<V> m =
+        service_memory(demand * share, cap_d, slice.mem_bound_frac);
+    delivered_d[d] = m.delivered;
     util_d[d] = m.utilization;
     stretch_d[d] = m.stretch;
-    stretch = std::max(stretch, m.stretch);
+    stretch = vmax(stretch, m.stretch);
   }
 
   // 3. Core + GPU see the worst domain's stretch (the critical path).
-  const double ipc_eff = kBaseIpc / stretch;
+  const V ipc_eff = kBaseIpc / stretch;
   core_tick(lane.core(), p.core, dt, slice.cpu_util, ipc_eff);
   gpu_tick(lane.gpu(), p.gpu, dt, slice.gpu_util / stretch);
 
   // 4. The tick's one jitter factor, applied to every domain's delivered
   //    traffic.
-  double delivered_noisy = 0.0;
+  V delivered_noisy = zero;
   for (int d = 0; d < domains; ++d) {
-    const double noisy_d = std::max(0.0, delivered_d[d] * jitter);
+    const V noisy_d = vmax(zero, delivered_d[d] * jitter);
     lane.domain_traffic_mb(d) += noisy_d * dt;
     lane.domain_stretch_time(d) += stretch_d[d] * dt;
     delivered_noisy += noisy_d;
@@ -491,26 +555,25 @@ TickOutput node_tick(Lane&& lane, const NodeParams& p, double dt, const WorkSlic
   lane.traffic_mb() += delivered_noisy * dt;
 
   // 5. Power + energy: socket uncore power is the sum of its dies.
-  double pkg_total = 0.0;
-  double dram_total = 0.0;
+  V pkg_total = zero;
+  V dram_total = zero;
   for (int s = 0; s < p.sockets; ++s) {
-    const double core_w = core_power_w(lane.core(), p.core, slice.cpu_util);
-    double uncore_w = 0.0;
-    double socket_delivered = 0.0;
+    const V core_w = core_power_w(lane.core(), p.core, slice.cpu_util);
+    V uncore_w = zero;
+    V socket_delivered = zero;
     for (int k = 0; k < dies; ++k) {
       const int d = s * dies + k;
-      const double die_w = uncore_power(lane.uncore(d), p.die, util_d[d]);
+      const V die_w = uncore_power(lane.uncore(d), p.die, util_d[d]);
       lane.domain_uncore_energy(d) += die_w * dt;
       uncore_w += die_w;
       socket_delivered += delivered_d[d];
     }
-    const double bw_frac =
-        p.uncore.peak_mem_bw_mbps > 0.0
-            ? std::clamp(socket_delivered / p.uncore.peak_mem_bw_mbps, 0.0, 1.0)
-            : 0.0;
-    const double monitor_w = (s == 0) ? monitor_extra_w : 0.0;
-    const double pkg_w = core_w + uncore_w + monitor_w;
-    const double dram_w = p.dram_idle_w + p.dram_dyn_w * bw_frac;
+    const V bw_frac = p.uncore.peak_mem_bw_mbps > 0.0
+                          ? vclamp(socket_delivered / p.uncore.peak_mem_bw_mbps, zero, one)
+                          : zero;
+    const V monitor_w = (s == 0) ? monitor_extra_w : zero;
+    const V pkg_w = core_w + uncore_w + monitor_w;
+    const V dram_w = p.dram_idle_w + p.dram_dyn_w * bw_frac;
     lane.pkg_energy(s) += pkg_w * dt;
     lane.dram_energy(s) += dram_w * dt;
     lane.last_pkg_w(s) = pkg_w;
@@ -518,7 +581,7 @@ TickOutput node_tick(Lane&& lane, const NodeParams& p, double dt, const WorkSlic
     dram_total += dram_w;
   }
 
-  TickOutput out;
+  BasicTickOutput<V> out;
   out.progress_rate = 1.0 / stretch;
   out.delivered_mbps = delivered_noisy;
   out.pkg_power_w = pkg_total;
@@ -529,6 +592,18 @@ TickOutput node_tick(Lane&& lane, const NodeParams& p, double dt, const WorkSlic
   return out;
 }
 // magus:hot-path-end
+
+/// Display frequency of core `core` at sim time `now`: the governor
+/// frequency plus a per-core spread. Each core's governor hunts
+/// independently; a small phase-shifted oscillation reproduces the scatter
+/// in Fig. 1a. Trace-only: nothing in the tick reads it.
+[[nodiscard]] inline double core_display_freq_ghz(const CoreState& st, const CoreParams& p,
+                                                  int core, common::Seconds now) {
+  const double phase = static_cast<double>(core) * 0.37;
+  const double wobble = 0.04 * std::sin(6.2831853 * (now.value() / 1.1 + phase));
+  const double f = st.freq_ghz * (1.0 + wobble);
+  return std::clamp(f, p.min_ghz, p.max_ghz);
+}
 
 }  // namespace kern
 }  // namespace magus::sim

@@ -1,16 +1,18 @@
 #pragma once
 // Per-node simulator state: the struct-of-arrays lane storage every engine
-// ticks, and NodeModel, its one-lane form.
+// ticks, NodeModel, its one-lane form, and LanePair, two lanes' state packed
+// for the two-wide tick.
 //
 // A LaneStore holds N independent nodes ("lanes") -- sockets (core + uncore
 // + DRAM), GPUs, the stock firmware governor, and the cumulative counters the
 // hw backends expose to runtimes. Each quantity is one flat vector: per-lane
 // state is indexed by lane, per-socket state by [socket_base + socket], and
 // per-domain state by [domain_base + domain], socket-major. The per-tick
-// arithmetic is kern::node_tick (sim/kernel.hpp), instantiated once, over
-// this layout. BatchEngine drives many lanes of one store; NodeModel (and so
-// SimEngine) owns a store with exactly one lane. The hw backends
-// (sim/backends.hpp) read and write the same storage.
+// arithmetic is kern::node_tick (sim/kernel.hpp): LaneStore::tick runs it at
+// width 1 over this layout, LanePair::tick at width 2 over a pair of lanes
+// loaded from it. BatchEngine drives many lanes of one store; NodeModel (and
+// so SimEngine) owns a store with exactly one lane. The hw backends
+// (sim/backends.hpp) read and write the store, never a LanePair.
 
 #include <cstddef>
 #include <cstdint>
@@ -23,27 +25,6 @@
 
 namespace magus::sim {
 
-/// A lane's per-tick noise source: LaneStore::tick and run_to_boundary take
-/// it as a template argument, so the choice costs nothing at run time. A
-/// source provides
-///   double operator()(common::Rng& own)  the tick's jitter factor; `own` is
-///                                        the lane's stream
-///   bool full() const                    true stops run_to_boundary before
-///                                        the next tick (a recording tape
-///                                        that must grow first)
-/// OwnNoise is what NodeModel and SimEngine use: draw i of a lane is
-/// Rng(seed)'s i-th jitter, a pure function of the seed and the tick index.
-/// BatchEngine adds a record/replay pair over the same draws so lanes that
-/// share a seed compute them once.
-struct OwnNoise {
-  // magus:hot-path-begin
-  double operator()(common::Rng& own) const noexcept {
-    return own.jitter(kern::kTrafficNoiseRel);
-  }
-  // magus:hot-path-end
-  static constexpr bool full() noexcept { return false; }
-};
-
 /// Counts hardware accesses made by a runtime during one invocation.
 struct AccessMeter {
   unsigned long long msr_reads = 0;
@@ -52,6 +33,8 @@ struct AccessMeter {
 
   void reset() noexcept { *this = AccessMeter{}; }
 };
+
+class LanePair;
 
 class LaneStore {
  public:
@@ -64,20 +47,25 @@ class LaneStore {
   [[nodiscard]] std::size_t lane_count() const noexcept { return lanes_.size(); }
 
   /// Advance `lane` by dt under `slice`; `monitor_extra_w` is the power of an
-  /// actively executing monitoring runtime (lands on socket 0), and `noise`
-  /// supplies the tick's jitter from the lane's stream. Inline so the
-  /// engines' tick loops compile the kernel in place.
-  template <class Noise>
+  /// actively executing monitoring runtime (lands on socket 0), and `jitter`
+  /// is the tick's draw from the lane's noise stream (or from a stream equal
+  /// to it). Inline so the engines' tick loops compile the kernel in place.
+  // magus:hot-path-begin
   TickOutput tick(std::size_t lane, double dt, const WorkSlice& slice, double monitor_extra_w,
-                  Noise& noise) {
+                  double jitter) {
     const LaneInfo& info = lanes_[lane];
     const View view{*this, lane, info.socket_base, info.domain_base};
-    const double jitter = noise(rng_[lane]);
     return kern::node_tick(view, info.params, dt, slice, monitor_extra_w, jitter);
   }
+  // magus:hot-path-end
 
   /// The lane's noise stream, seeded with add_lane's `noise_seed`.
   [[nodiscard]] common::Rng& noise_rng(std::size_t lane) { return rng_[lane]; }
+
+  /// Copy `lane`'s tick state into slot `slot` of `pair`, or back. The pair
+  /// must have been built for the lane's NodeParams.
+  void load(LanePair& pair, int slot, std::size_t lane) const;
+  void save(const LanePair& pair, int slot, std::size_t lane);
 
   [[nodiscard]] const kern::NodeParams& params(std::size_t lane) const {
     return lanes_[lane].params;
@@ -121,6 +109,14 @@ class LaneStore {
   }
   [[nodiscard]] double dram_energy_j(std::size_t lane, int socket) const {
     return dram_energy_j_[socket_slot(lane, socket)];
+  }
+  /// The socket's firmware governor state (cap, dwell, ladder memo).
+  [[nodiscard]] const kern::FirmwareState& firmware(std::size_t lane, int socket) const {
+    return firmware_[socket_slot(lane, socket)];
+  }
+  /// Package power of the socket's last tick, the firmware's next input.
+  [[nodiscard]] double last_pkg_w(std::size_t lane, int socket) const {
+    return last_pkg_w_[socket_slot(lane, socket)];
   }
   [[nodiscard]] double total_pkg_energy_j(std::size_t lane) const;
   [[nodiscard]] double total_dram_energy_j(std::size_t lane) const;
@@ -171,6 +167,11 @@ class LaneStore {
     }
   };
 
+  /// Applies `op(pack_field, lane_field)` to every tick-state field of
+  /// `lane` and its counterpart in `pair`; load and save are its two uses.
+  template <class Store, class Pair, class Op>
+  static void transfer(Store& store, Pair& pair, std::size_t lane, Op op);
+
   [[nodiscard]] std::size_t socket_slot(std::size_t lane, int socket) const {
     return lanes_[lane].socket_base + static_cast<std::size_t>(socket);
   }
@@ -195,6 +196,63 @@ class LaneStore {
   std::vector<kern::GpuState> gpu_;
   std::vector<double> traffic_mb_;
   std::vector<common::Rng> rng_;
+};
+
+/// Two lanes' tick state, slot k of every kern::Pack2 holding lane k's
+/// value: the kern::node_tick Lane that BatchEngine ticks two lanes at a time
+/// with. Both lanes share one NodeParams (their packs tick one body); dt,
+/// slice, monitor power and jitter are per slot. Fill it with
+/// LaneStore::load and write it back with LaneStore::save.
+class LanePair {
+ public:
+  using Pack2 = kern::Pack2;
+
+  explicit LanePair(const kern::NodeParams& params);
+
+  // magus:hot-path-begin
+  /// Advance both slots by one tick on one jitter draw.
+  BasicTickOutput<Pack2> tick(Pack2 dt, const BasicWorkSlice<Pack2>& slice,
+                              Pack2 monitor_extra_w, double jitter) {
+    return kern::node_tick(*this, params_, dt, slice, monitor_extra_w,
+                           kern::splat<Pack2>(jitter));
+  }
+
+  // The kern::node_tick Lane accessors.
+  [[nodiscard]] kern::BasicUncoreState<Pack2>& uncore(int d) { return uncore_[index(d)]; }
+  [[nodiscard]] kern::BasicFirmwareState<Pack2>& firmware(int s) {
+    return firmware_[index(s)];
+  }
+  [[nodiscard]] kern::BasicCoreState<Pack2>& core() { return core_; }
+  [[nodiscard]] kern::BasicGpuState<Pack2>& gpu() { return gpu_; }
+  [[nodiscard]] Pack2& pkg_energy(int s) { return pkg_energy_[index(s)]; }
+  [[nodiscard]] Pack2& dram_energy(int s) { return dram_energy_[index(s)]; }
+  [[nodiscard]] Pack2& last_pkg_w(int s) { return last_pkg_w_[index(s)]; }
+  [[nodiscard]] Pack2& traffic_mb() { return traffic_mb_; }
+  [[nodiscard]] Pack2& domain_traffic_mb(int d) { return domain_traffic_mb_[index(d)]; }
+  [[nodiscard]] Pack2& domain_uncore_energy(int d) { return domain_uncore_energy_[index(d)]; }
+  [[nodiscard]] Pack2& domain_stretch_time(int d) { return domain_stretch_time_[index(d)]; }
+  // magus:hot-path-end
+
+ private:
+  friend class LaneStore;
+
+  static std::size_t index(int i) { return static_cast<std::size_t>(i); }
+
+  kern::NodeParams params_;
+  // Per-socket.
+  std::vector<kern::BasicFirmwareState<Pack2>> firmware_;
+  std::vector<Pack2> pkg_energy_;
+  std::vector<Pack2> dram_energy_;
+  std::vector<Pack2> last_pkg_w_;
+  // Per-domain.
+  std::vector<kern::BasicUncoreState<Pack2>> uncore_;
+  std::vector<Pack2> domain_traffic_mb_;
+  std::vector<Pack2> domain_uncore_energy_;
+  std::vector<Pack2> domain_stretch_time_;
+  // Per-lane.
+  kern::BasicCoreState<Pack2> core_;
+  kern::BasicGpuState<Pack2> gpu_;
+  Pack2 traffic_mb_{};
 };
 
 /// One simulated node: a single-lane LaneStore plus its last tick output.

@@ -22,12 +22,17 @@ class ProgramExecutor {
     return {p.mem_demand_mbps, p.mem_bound_frac, p.cpu_util, p.gpu_util};
   }
 
-  void advance(double progress_dt) {
+  /// Advance by `progress_dt` phase seconds. True when that moved past the
+  /// current phase -- slice() changed, or the program is done.
+  bool advance(double progress_dt) {
     progress_ += progress_dt;
+    bool moved = false;
     while (!done() && progress_ >= program_->phases()[index_].duration_s) {
       progress_ -= program_->phases()[index_].duration_s;
       ++index_;
+      moved = true;
     }
+    return moved;
   }
 
  private:

@@ -136,8 +136,7 @@ SimResult SimEngine::run(const PolicyHook& policy) {
     }
     next_record_t = t + cfg_.record_dt_s;
   };
-  OwnNoise noise;
-  while (run_to_boundary(node_.store(), 0, executor, cfg_.tick_s, clock, noise, record) ==
+  while (run_to_boundary(node_.store(), 0, executor, cfg_.tick_s, clock, record) ==
          Stop::kSample) {
     sample_boundary(policy, spec_.cpu, node_.store().meter(0), clock, result);
     // Live progress for a scraping exporter, keyed on sim time only.

@@ -4,8 +4,8 @@
 // exp::BatchRun) share one tick loop but are wired separately, so every job
 // of a manifest must come out of both bit for bit. Jobs are laid out the way
 // FleetRunner::run_shard lays out a shard -- each non-default job followed
-// by its fault-free default twin on the same seed -- so the batch side runs
-// its shared-seed record/replay path.
+// by its fault-free default twin on the same seed -- so the batch side ticks
+// each job and its twin as one lockstep pair.
 
 #include <gtest/gtest.h>
 

@@ -1,10 +1,13 @@
-// BatchEngine lanes that share an EngineConfig::seed share one noise stream:
-// the group's first lane records its per-tick jitter and the others replay
-// it. Whatever each lane does -- outlive the recorder, stop before it, or
-// run after a recorder that threw -- its result must equal the same lane
-// run alone, field for field. A failed lane keeps its exception's type, and
-// a lane with engine telemetry counts its run like SimEngine::run; both are
-// checked through exp::run_repeated, whose repetitions are arm batches.
+// BatchEngine lanes that share an EngineConfig::seed tick in lockstep on one
+// noise draw per tick, consecutive lanes on equal node parameters paired
+// through the two-wide kernel. Whatever each lane does -- outlive its
+// partner, stop before it, throw at on_start or at a sample boundary (a
+// std::exception or anything else), hit its safety cap, tick at its own
+// tick_s, or sit in a group of mixed systems and die layouts -- its result
+// must equal the same lane run alone, field for field. A failed lane keeps
+// its exception's type, and a lane with engine telemetry counts its run
+// like SimEngine::run; both are checked through exp::run_repeated, whose
+// repetitions are arm batches.
 
 #include <gtest/gtest.h>
 
@@ -33,16 +36,22 @@ namespace {
 
 /// How a lane's policy behaves.
 enum class Hook {
-  kDefault,        ///< no callbacks
-  kThrottle,       ///< every 0.2 s, drops the uncore cap (slows the lane)
-  kThrowAtStart,   ///< on_start throws
-  kThrowMidRun,    ///< on_sample throws once past t = 1 s
+  kDefault,         ///< no callbacks
+  kThrottle,        ///< every 0.2 s, drops the uncore cap (slows the lane)
+  kThrowAtStart,    ///< on_start throws
+  kThrowMidRun,     ///< on_sample throws once past t = 1 s
+  kThrowIntMidRun,  ///< on_sample throws an int once past t = 1 s
 };
 
 struct LaneSpec {
   std::uint64_t seed = 7;
   double seconds = 2.0;  ///< nominal program length
   Hook hook = Hook::kDefault;
+  const char* system = "intel_a100";
+  int dies = 1;
+  double numa_skew = 0.0;
+  double tick_s = 0.002;
+  double max_sim_s = 0.0;  ///< 0: the engine's default cap
 };
 
 mw::PhaseProgram program_of(double seconds) {
@@ -54,7 +63,16 @@ ms::EngineConfig config_of(const LaneSpec& spec) {
   ms::EngineConfig cfg;
   cfg.seed = spec.seed;
   cfg.record_traces = false;
+  cfg.tick_s = spec.tick_s;
+  cfg.max_sim_s = spec.max_sim_s;
   return cfg;
+}
+
+ms::SystemSpec system_of(const LaneSpec& spec) {
+  ms::SystemSpec system = ms::system_by_name(spec.system);
+  system.cpu.dies_per_socket = spec.dies;
+  system.numa_skew = spec.numa_skew;
+  return system;
 }
 
 ms::PolicyHook hook_of(Hook kind, ms::LaneBackends& hw) {
@@ -79,13 +97,19 @@ ms::PolicyHook hook_of(Hook kind, ms::LaneBackends& hw) {
         if (now.value() > 1.0) throw std::runtime_error("on_sample failed");
       };
       break;
+    case Hook::kThrowIntMidRun:
+      hook.name = "throw_int_mid_run";
+      hook.on_sample = [](mc::Seconds now) {
+        if (now.value() > 1.0) throw 42;
+      };
+      break;
   }
   return hook;
 }
 
 std::size_t add(ms::BatchEngine& engine, const LaneSpec& spec) {
   const std::size_t lane =
-      engine.add_lane(ms::intel_a100(), program_of(spec.seconds), config_of(spec));
+      engine.add_lane(system_of(spec), program_of(spec.seconds), config_of(spec));
   engine.set_hook(lane, hook_of(spec.hook, engine.backends(lane)));
   return lane;
 }
@@ -112,24 +136,31 @@ void expect_each_lane_matches_alone(const std::vector<LaneSpec>& specs) {
 
 }  // namespace
 
-TEST(BatchEngineSharedSeed, ReplayerOutlivesRecorder) {
-  // The replayer runs 3x the recorder's ticks: past the tape's end it draws
-  // from a copy of the recorder's final stream.
+TEST(BatchEngineSharedSeed, SecondLaneOutlivesFirst) {
+  // The pair's second lane runs 3x the first's ticks: once the first
+  // finishes, the second goes on alone at width 1 on the same draws.
   expect_each_lane_matches_alone({{7, 1.5, Hook::kThrottle}, {7, 4.5, Hook::kDefault}});
 }
 
-TEST(BatchEngineSharedSeed, RecorderOutlivesReplayer) {
-  // The recorder runs past the first tape size (4096 ticks), so the tape
-  // grows between run_to_boundary calls; the replayer reads only its head.
+TEST(BatchEngineSharedSeed, FirstLaneOutlivesSecond) {
+  // Over 6000 ticks of the first lane, most of them alone.
   expect_each_lane_matches_alone({{7, 12.0, Hook::kThrottle}, {7, 1.0, Hook::kDefault}});
 }
 
-TEST(BatchEngineSharedSeed, RecorderThrowsAtStart) {
+TEST(BatchEngineSharedSeed, FirstLaneThrowsAtStart) {
   expect_each_lane_matches_alone({{7, 2.0, Hook::kThrowAtStart}, {7, 2.0, Hook::kThrottle}});
 }
 
-TEST(BatchEngineSharedSeed, RecorderThrowsAtMidRunSample) {
+TEST(BatchEngineSharedSeed, SecondLaneThrowsAtStart) {
+  expect_each_lane_matches_alone({{7, 2.0, Hook::kThrottle}, {7, 2.0, Hook::kThrowAtStart}});
+}
+
+TEST(BatchEngineSharedSeed, FirstLaneThrowsAtMidRunSample) {
   expect_each_lane_matches_alone({{7, 3.0, Hook::kThrowMidRun}, {7, 3.0, Hook::kDefault}});
+}
+
+TEST(BatchEngineSharedSeed, SecondLaneThrowsAtMidRunSample) {
+  expect_each_lane_matches_alone({{7, 3.0, Hook::kThrottle}, {7, 3.0, Hook::kThrowMidRun}});
 }
 
 TEST(BatchEngineSharedSeed, ThreeNonAdjacentLanesShareOneSeed) {
@@ -141,6 +172,49 @@ TEST(BatchEngineSharedSeed, ThreeNonAdjacentLanesShareOneSeed) {
                                   {9, 1.0, Hook::kThrottle},
                                   {7, 2.0, Hook::kThrowMidRun},
                                   {8, 2.5, Hook::kThrottle}});
+}
+
+TEST(BatchEngineSharedSeed, ThreeLaneGroup) {
+  // A pair plus a leftover lane at width 1, as in one Fig. 4 repetition.
+  expect_each_lane_matches_alone(
+      {{7, 2.0, Hook::kDefault}, {7, 2.5, Hook::kThrottle}, {7, 1.5, Hook::kThrottle}});
+}
+
+TEST(BatchEngineSharedSeed, FiveLaneGroup) {
+  // Two pairs and a leftover; the second pair loses a lane mid-run.
+  expect_each_lane_matches_alone({{7, 2.0, Hook::kThrottle},
+                                  {7, 3.0, Hook::kDefault},
+                                  {7, 2.5, Hook::kThrowMidRun},
+                                  {7, 4.0, Hook::kThrottle},
+                                  {7, 1.0, Hook::kDefault}});
+}
+
+TEST(BatchEngineSharedSeed, MixedSystemsAndDieLayouts) {
+  // Only consecutive lanes on equal node parameters pair: here lanes 2-3
+  // and 4-5; the rest tick at width 1, all on seed 7's draws.
+  LaneSpec a100_1die{7, 2.0, Hook::kThrottle};
+  LaneSpec mi250_1die{7, 2.0, Hook::kDefault, "amd_mi250"};
+  LaneSpec a100_2die{7, 2.5, Hook::kThrottle, "intel_a100", 2};
+  LaneSpec mi250_2die_skew{7, 1.5, Hook::kThrottle, "amd_mi250", 2, 0.3};
+  LaneSpec a100_2die_default = a100_2die;
+  a100_2die_default.hook = Hook::kDefault;
+  LaneSpec mi250_2die_skew_default = mi250_2die_skew;
+  mi250_2die_skew_default.hook = Hook::kDefault;
+  expect_each_lane_matches_alone({a100_1die, mi250_1die, a100_2die, a100_2die_default,
+                                  mi250_2die_skew, mi250_2die_skew_default, a100_1die});
+}
+
+TEST(BatchEngineSharedSeed, LaneHitsItsSafetyCap) {
+  LaneSpec capped{7, 4.0, Hook::kThrottle};
+  capped.max_sim_s = 1.3;
+  expect_each_lane_matches_alone({capped, {7, 4.0, Hook::kDefault}});
+}
+
+TEST(BatchEngineSharedSeed, LanesTickAtDifferentSteps) {
+  // One pair, slots at different dt: each slot's governor memo holds its own.
+  LaneSpec fine{7, 2.0, Hook::kThrottle};
+  fine.tick_s = 0.001;
+  expect_each_lane_matches_alone({fine, {7, 2.0, Hook::kDefault}});
 }
 
 namespace {
@@ -169,6 +243,25 @@ TEST(BatchEngineFailure, LaneExceptionKeepsItsType) {
   EXPECT_THROW(std::rethrow_exception(batch.lane_exception(failing)), SampleFault);
   EXPECT_FALSE(batch.lane_failed(sibling));
   EXPECT_EQ(batch.lane_exception(sibling), nullptr);
+}
+
+TEST(BatchEngineFailure, NonStandardExceptionFailsOnlyItsLane) {
+  // A hook that throws an int fails its lane with a fixed message and the
+  // int intact; its pair partner and the lanes after it still run.
+  const std::vector<LaneSpec> specs{{7, 3.0, Hook::kThrowIntMidRun},
+                                    {7, 3.0, Hook::kThrottle},
+                                    {8, 2.0, Hook::kDefault}};
+  expect_each_lane_matches_alone(specs);
+
+  ms::BatchEngine batch;
+  for (const LaneSpec& spec : specs) add(batch, spec);
+  batch.run_all();
+  ASSERT_TRUE(batch.lane_failed(0));
+  EXPECT_EQ(batch.lane_error(0), ms::BatchEngine::kNonStandardError);
+  EXPECT_THROW(std::rethrow_exception(batch.lane_exception(0)), int);
+  EXPECT_FALSE(batch.lane_failed(1));
+  EXPECT_FALSE(batch.lane_failed(2));
+  EXPECT_TRUE(batch.result(2).completed);
 }
 
 TEST(BatchEngineFailure, RunRepeatedRethrowsTheArmsExceptionType) {
