@@ -9,7 +9,7 @@
 // the same inputs (minus traces, which the batch path never records).
 //
 // Two callers: fleet::FleetRunner (a shard's nodes and their default twins)
-// and exp::run_repeated (one repetition's policy arms). Jobs on one engine
+// and exp::run_repeated (two repetitions' policy arms). Jobs on one engine
 // seed share a single noise draw (sim/batch_engine.hpp).
 
 #include <cstddef>
@@ -59,6 +59,13 @@ class BatchRun {
   [[nodiscard]] std::size_t job_count() const noexcept { return jobs_.size(); }
   [[nodiscard]] unsigned long long total_ticks() const noexcept {
     return engine_.total_ticks();
+  }
+  /// Lane ticks made two at a time and at width 1 (sim::BatchEngine).
+  [[nodiscard]] unsigned long long pair_lane_ticks() const noexcept {
+    return engine_.pair_lane_ticks();
+  }
+  [[nodiscard]] unsigned long long single_lane_ticks() const noexcept {
+    return engine_.single_lane_ticks();
   }
 
  private:

@@ -5,11 +5,15 @@
 //
 // A comparison runs several policy arms over the same repetitions.
 // Repetition r of every arm sees the same jittered program and the same
-// engine seed, so one repetition is one exp::BatchRun with a lane per arm:
-// the arms tick in lockstep on one noise draw per tick, the first two as a
-// two-wide pair (sim/batch_engine.hpp). Per run the result is bit-identical to
-// exp::run_policy on the same inputs. Repetitions fan out on the shared
-// pool; the single-policy run_repeated is the one-arm case.
+// engine seed, so its arms are lanes of one seed group that tick in lockstep
+// on one noise draw per tick, paired two at a time (sim/batch_engine.hpp).
+// Two consecutive repetitions share one exp::BatchRun: with an odd number of
+// arms, the arm each repetition leaves out pairs with the other's across
+// seeds, so the three Fig. 4 arms of repetitions r and r + 1 tick as three
+// pairs. An odd last repetition runs alone. Per run the result is
+// bit-identical to exp::run_policy on the same inputs. The ceil(reps / 2)
+// batches fan out on the shared pool; the single-policy run_repeated is the
+// one-arm case.
 
 #include <cstdint>
 #include <string>
@@ -42,7 +46,8 @@ struct Arm {
 /// Every arm's individual repetition results, `runs[arm][rep]`. Throws
 /// common::ConfigError for a repetition count outside [1, kMaxRepetitions]
 /// or an unknown policy; a policy that throws inside a run propagates with
-/// its own exception type (the first failed arm's, in arm order).
+/// its own exception type (within one repetition, the first failed arm's in
+/// arm order).
 [[nodiscard]] std::vector<std::vector<sim::SimResult>> run_repetitions(
     const sim::SystemSpec& system, const wl::PhaseProgram& workload,
     const std::vector<Arm>& arms, const RepeatSpec& spec);

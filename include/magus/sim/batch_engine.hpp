@@ -10,22 +10,29 @@
 // virtual dispatch (policy callbacks run only at sample boundaries, every
 // ~150 ticks).
 //
-// Lockstep seed groups: a lane's per-tick jitter is a pure function of its
+// Lockstep cohorts: a lane's per-tick jitter is a pure function of its
 // EngineConfig::seed and the tick index, and the fleet runs every node twice
 // on one seed (the policy lane and its default twin); the repetition
-// protocol (exp::run_repeated) runs one repetition's policy arms as lanes of
-// one engine on the repetition's seed. run_all groups lanes by seed,
-// wherever they sit in lane order, and ticks each group in lockstep by tick
-// index: one jitter draw per tick serves every lane of the group. Inside a
-// group, consecutive lanes with equal kern::NodeParams pair up and tick
-// together through the two-wide kernel (sim::LanePair, slot k = lane k); a
-// leftover lane ticks at width 1 on the store. A pair's state goes back to
-// the store whenever a hook or backend can see it -- at each of a slot's
-// sample boundaries and when it finishes -- and a slot that finishes or
-// fails leaves its partner to go on at width 1. Slot k of the two-wide tick
-// is bit-identical to the width-1 tick, so pairing moves no bit. A group
-// with one running lane is the degenerate case: that lane ticks at width 1
-// on Rng(seed), the draws its own stream would give.
+// protocol (exp::run_repeated) runs each repetition's policy arms on the
+// repetition's seed, two repetitions to an engine. run_all groups lanes by
+// seed, wherever they sit in lane order, and sweeps one cohort at a time in
+// lockstep by tick index, each group's lanes started just before. A cohort
+// is one seed group, or two groups that each leave exactly one running lane
+// out of their pairs, on equal kern::NodeParams (a group joins the earliest
+// unmatched one in seed order). Each tick the sweep makes one jitter draw
+// per seed of the cohort that still has a running lane, and every lane of
+// that seed ticks on it, so each seed's stream advances exactly as a lane
+// run alone would advance it. Inside a group, consecutive lanes with equal
+// NodeParams pair up and tick together through the two-wide kernel
+// (sim::LanePair, slot k = lane k, on its own seed's draw); the two lanes
+// left out of a two-group cohort pair across seeds; any other leftover lane
+// ticks at width 1 on the store. A pair's state goes back to the store
+// whenever a hook or backend can see it (at each of a slot's sample
+// boundaries and when it finishes), and a slot that finishes or fails leaves
+// its partner to go on at width 1. Slot k of the two-wide tick is
+// bit-identical to the width-1 tick, so pairing moves no bit. Cohorts are
+// capped at two groups so that one sweep's working set stays a few lanes:
+// sweeping a whole shard as one loop was measured slower.
 //
 // Per lane, the loop is SimEngine::run's without trace recording, over the
 // same kernel, backends and sample-boundary charge, so a lane's result is
@@ -38,7 +45,7 @@
 // engine series the way SimEngine::run does (EngineTelemetry), without the
 // live per-sample sim-time gauge. Policy-level telemetry
 // (PolicyContext::metrics/events) works unchanged, except that the
-// callbacks of one seed group's lanes interleave in tick order.
+// callbacks of one cohort's lanes interleave in tick order.
 
 #include <cstddef>
 #include <deque>
@@ -108,6 +115,15 @@ class BatchEngine {
   }
   /// Simulation steps executed across all finished lanes.
   [[nodiscard]] unsigned long long total_ticks() const noexcept { return total_ticks_; }
+  /// Lane ticks made through the two-wide kernel (two per pair tick) and at
+  /// width 1. They count failed lanes' ticks too, so with no failed lane
+  /// they sum to total_ticks().
+  [[nodiscard]] unsigned long long pair_lane_ticks() const noexcept {
+    return pair_lane_ticks_;
+  }
+  [[nodiscard]] unsigned long long single_lane_ticks() const noexcept {
+    return single_lane_ticks_;
+  }
 
  private:
   /// Cold per-lane bookkeeping, off the tick path. Lives in a deque so
@@ -132,19 +148,31 @@ class BatchEngine {
     ProgramExecutor executor;  ///< walks `program` (deque: its address is stable)
     RunClock clock;
     EngineTelemetry telemetry;
+    int draw = 0;  ///< which per-seed draw of its cohort it ticks on (0 or 1)
     bool failed = false;
     std::string error;
     std::exception_ptr exception;
     SimResult result;
   };
 
-  /// Two lanes of a seed group ticking as one pack.
+  /// Two lanes ticking as one pack.
   struct Pair {
     LanePair state;
     Lane* lane[2] = {nullptr, nullptr};
     kern::Pack2 dt{};                   ///< each slot's tick_s
     BasicWorkSlice<kern::Pack2> slice;  ///< each slot's current phase
   };
+
+  /// The running lanes of the one or two seed groups one sweep ticks.
+  struct Cohort {
+    std::span<Lane* const> group[2];  ///< group[1] is empty for one group
+  };
+
+  /// Walk one seed group's running lanes as a sweep pairs them: consecutive
+  /// lanes on equal NodeParams pair up, on_pair(a, b); on_single(a) for each
+  /// lane left out.
+  template <class OnPair, class OnSingle>
+  void pair_up(std::span<Lane* const> group, OnPair on_pair, OnSingle on_single) const;
 
   // The members below run only inside run_all's HotPathSection:
   // MAGUS_LOCK_FREE makes taking any AnnotatedMutex in their bodies a compile
@@ -153,14 +181,19 @@ class BatchEngine {
   // are std::function and opaque to the analysis; they manage their own hot
   // sections.)
 
-  /// Run the lanes `group` lists, which share one seed: start them, then
-  /// tick the ones still running in lockstep.
-  void run_group(std::span<const std::size_t> group) MAGUS_LOCK_FREE;
-  /// Tick `running`, started lanes of one seed, in lockstep to their ends.
-  void run_lockstep(std::span<Lane* const> running) MAGUS_LOCK_FREE;
-  /// Tick a pair once on `jitter`. False when a slot's run ended; a partner
-  /// still running is then saved to the store and queued on `singles_`.
-  bool step_pair(Pair& pair, double jitter) MAGUS_LOCK_FREE;
+  /// Call the lane's on_start. False when the lane is not running after it
+  /// (its policy threw, or its run is already over).
+  bool start(Lane& lane) MAGUS_LOCK_FREE;
+  /// Tick a cohort's lanes in lockstep to their ends.
+  void sweep(const Cohort& cohort) MAGUS_LOCK_FREE;
+  /// Load two lanes into a new pair of the sweep. (Not MAGUS_LOCK_FREE:
+  /// sweep calls it from a pair_up callback, and Clang's analysis does not
+  /// carry the hot-path role into a lambda.)
+  void add_pair(Lane& a, Lane& b);
+  /// Tick a pair once, slot k on draw[lane k's draw]. False when a slot's run
+  /// ended; a partner still running is then saved to the store and queued
+  /// on `singles_`.
+  bool step_pair(Pair& pair, const double draw[2]) MAGUS_LOCK_FREE;
   /// step_pair's rare half: slot sample boundaries, finished slots, phase
   /// changes.
   bool pair_events(Pair& pair, const bool moved[2]) MAGUS_LOCK_FREE;
@@ -190,11 +223,16 @@ class BatchEngine {
 
   LaneStore store_;
   std::deque<Lane> lanes_;
-  /// The current group's work lists, sized in run_all so the sweep never
+  /// The current cohort's work lists, sized in run_all so the sweep never
   /// allocates: its pairs and the lanes ticking at width 1.
   std::vector<Pair> pairs_;
   std::vector<Lane*> singles_;
+  /// Running lanes per seed group of the current cohort; a group draws
+  /// while its count is positive.
+  std::size_t live_[2] = {0, 0};
   unsigned long long total_ticks_ = 0;
+  unsigned long long pair_lane_ticks_ = 0;
+  unsigned long long single_lane_ticks_ = 0;
   bool ran_ = false;
 };
 

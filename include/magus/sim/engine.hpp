@@ -143,7 +143,8 @@ enum class Stop {
 /// boundary or the end of its run, each tick's jitter drawn from the lane's
 /// own noise stream. `observe(t, slice, out)` sees each tick before the clock
 /// moves past it; SimEngine records traces there. BatchEngine runs the same
-/// per-tick steps over a seed group in lockstep (sim/batch_engine.hpp).
+/// per-tick steps over a cohort of seed groups in lockstep
+/// (sim/batch_engine.hpp).
 template <class Observe>
 Stop run_to_boundary(LaneStore& store, std::size_t lane, ProgramExecutor& exec, double dt,
                      RunClock& clock, Observe&& observe) {

@@ -210,11 +210,11 @@ class LanePair {
   explicit LanePair(const kern::NodeParams& params);
 
   // magus:hot-path-begin
-  /// Advance both slots by one tick on one jitter draw.
+  /// Advance both slots by one tick, slot k on jitter[k] (its own seed's
+  /// draw: the two slots may tick on different noise streams).
   BasicTickOutput<Pack2> tick(Pack2 dt, const BasicWorkSlice<Pack2>& slice,
-                              Pack2 monitor_extra_w, double jitter) {
-    return kern::node_tick(*this, params_, dt, slice, monitor_extra_w,
-                           kern::splat<Pack2>(jitter));
+                              Pack2 monitor_extra_w, Pack2 jitter) {
+    return kern::node_tick(*this, params_, dt, slice, monitor_extra_w, jitter);
   }
 
   // The kern::node_tick Lane accessors.

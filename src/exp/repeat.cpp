@@ -1,5 +1,6 @@
 #include "magus/exp/repeat.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <string>
 #include <vector>
@@ -56,9 +57,12 @@ std::vector<std::vector<sim::SimResult>> run_repetitions(const sim::SystemSpec& 
 
   // Repetitions are independent simulations: each forks its own Rng stream
   // from the master (fork does not advance master state) and seeds its own
-  // engine, so they can run on any worker in any order. Results land in
-  // slot [arm][rep]; aggregation walks the slots serially in rep order, so
-  // the numbers are bit-identical to the serial loop for any job count.
+  // lanes, so they can run on any worker in any order. Two consecutive
+  // repetitions share one BatchRun, so that the arm each leaves out of its
+  // pairs (UPS, in the Fig. 4 comparison) pairs with the other's; an odd
+  // last repetition runs alone. Results land in slot [arm][rep]; aggregation
+  // walks the slots serially in rep order, so the numbers are bit-identical
+  // to the serial loop for any job count.
   const std::size_t reps = static_cast<std::size_t>(spec.repetitions);
   std::vector<std::vector<sim::SimResult>> runs(arms.size(),
                                                 std::vector<sim::SimResult>(reps));
@@ -72,23 +76,35 @@ std::vector<std::vector<sim::SimResult>> run_repetitions(const sim::SystemSpec& 
     }
   }
 
-  common::default_pool().parallel_for_each(reps, [&](std::size_t rep) {
-    common::Rng rep_rng = master.fork(static_cast<std::uint64_t>(rep));
-    const wl::PhaseProgram jittered = wl::apply_jitter(workload, rep_rng, spec.jitter);
+  constexpr std::size_t kRepsPerBatch = 2;
+  const std::size_t chunks = (reps + kRepsPerBatch - 1) / kRepsPerBatch;
+  common::default_pool().parallel_for_each(chunks, [&](std::size_t chunk) {
+    const std::size_t first = chunk * kRepsPerBatch;
+    const std::size_t count = std::min(kRepsPerBatch, reps - first);
     // Policies keep pointers into their options: the copies outlive `batch`.
-    std::vector<RunOptions> rep_opts(arms.size());
+    // Lane (r, a) -- arm a of repetition first + r -- is job r * arms + a.
+    std::vector<RunOptions> rep_opts(count * arms.size());
     BatchRun batch;
-    for (std::size_t a = 0; a < arms.size(); ++a) {
-      rep_opts[a] = arms[a].options;
-      rep_opts[a].engine.seed = spec.seed * 1000003ull + static_cast<std::uint64_t>(rep);
-      rep_opts[a].engine.record_traces = false;  // scalar metrics only; traces cost memory
-      (void)batch.add(system, jittered, arms[a].policy, rep_opts[a]);
+    for (std::size_t r = 0; r < count; ++r) {
+      const std::size_t rep = first + r;
+      common::Rng rep_rng = master.fork(static_cast<std::uint64_t>(rep));
+      const wl::PhaseProgram jittered = wl::apply_jitter(workload, rep_rng, spec.jitter);
+      for (std::size_t a = 0; a < arms.size(); ++a) {
+        RunOptions& opts = rep_opts[r * arms.size() + a];
+        opts = arms[a].options;
+        opts.engine.seed = spec.seed * 1000003ull + static_cast<std::uint64_t>(rep);
+        opts.engine.record_traces = false;  // scalar metrics only; traces cost memory
+        (void)batch.add(system, jittered, arms[a].policy, opts);
+      }
     }
     batch.run_all();
-    for (std::size_t a = 0; a < arms.size(); ++a) {
-      if (batch.failed(a)) std::rethrow_exception(batch.exception(a));
-      runs[a][rep] = batch.output(a).result;
-      telemetry::inc(reps_done[a]);
+    for (std::size_t r = 0; r < count; ++r) {
+      for (std::size_t a = 0; a < arms.size(); ++a) {
+        const std::size_t job = r * arms.size() + a;
+        if (batch.failed(job)) std::rethrow_exception(batch.exception(job));
+        runs[a][first + r] = batch.output(job).result;
+        telemetry::inc(reps_done[a]);
+      }
     }
   });
   return runs;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -67,6 +68,46 @@ void set_slice_slot(BasicWorkSlice<kern::Pack2>& packed, int k, const WorkSlice&
 
 }  // namespace
 
+bool BatchEngine::start(Lane& lane) {
+  lane.result.policy_name = lane.hook.name;
+  lane.clock = RunClock(lane.cfg, lane.program, lane.hook);
+  try {
+    if (lane.hook.on_start) lane.hook.on_start(common::Seconds(0.0));
+  } catch (const std::exception& e) {
+    fail(lane, e.what());
+    return false;
+  } catch (...) {
+    fail(lane, kNonStandardError);
+    return false;
+  }
+  if (!over(lane)) return true;
+  finish(lane);
+  return false;
+}
+
+template <class OnPair, class OnSingle>
+void BatchEngine::pair_up(std::span<Lane* const> group, OnPair on_pair,
+                          OnSingle on_single) const {
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    if (i + 1 < group.size() &&
+        store_.params(group[i]->index) == store_.params(group[i + 1]->index)) {
+      on_pair(*group[i], *group[i + 1]);
+      ++i;
+    } else {
+      on_single(*group[i]);
+    }
+  }
+}
+
+void BatchEngine::add_pair(Lane& a, Lane& b) {
+  Pair& pair = pairs_.emplace_back(
+      Pair{LanePair(store_.params(a.index)), {&a, &b}, {a.cfg.tick_s, b.cfg.tick_s}, {}});
+  store_.load(pair.state, 0, a.index);
+  store_.load(pair.state, 1, b.index);
+  set_slice_slot(pair.slice, 0, a.executor.slice());
+  set_slice_slot(pair.slice, 1, b.executor.slice());
+}
+
 bool BatchEngine::step_single(Lane& lane, double jitter) {
   // magus:hot-path-begin
   const TickOutput out = store_.tick(lane.index, lane.cfg.tick_s, lane.executor.slice(),
@@ -79,11 +120,12 @@ bool BatchEngine::step_single(Lane& lane, double jitter) {
   // magus:hot-path-end
 }
 
-bool BatchEngine::step_pair(Pair& pair, double jitter) {
+bool BatchEngine::step_pair(Pair& pair, const double draw[2]) {
   // magus:hot-path-begin
   Lane& a = *pair.lane[0];
   Lane& b = *pair.lane[1];
   const kern::Pack2 extra_w{a.clock.extra_w(), b.clock.extra_w()};
+  const kern::Pack2 jitter{draw[a.draw], draw[b.draw]};
   const BasicTickOutput<kern::Pack2> out =
       pair.state.tick(pair.dt, pair.slice, extra_w, jitter);
   const bool moved[2] = {advance(a, out.progress_rate[0]), advance(b, out.progress_rate[1])};
@@ -107,6 +149,7 @@ bool BatchEngine::pair_events(Pair& pair, const bool moved[2]) {
       store_.save(pair.state, k, lane.index);
       if (!sample(lane)) {
         running[k] = false;
+        --live_[lane.draw];
         continue;
       }
       store_.load(pair.state, k, lane.index);
@@ -115,6 +158,7 @@ bool BatchEngine::pair_events(Pair& pair, const bool moved[2]) {
       store_.save(pair.state, k, lane.index);
       finish(lane);
       running[k] = false;
+      --live_[lane.draw];
     } else if (moved[k]) {
       set_slice_slot(pair.slice, k, lane.executor.slice());
     }
@@ -129,79 +173,52 @@ bool BatchEngine::pair_events(Pair& pair, const bool moved[2]) {
   return false;
 }
 
-void BatchEngine::run_group(std::span<const std::size_t> group) {
-  // Start every lane; on_start may program the uncore, so pairs load after.
-  std::vector<Lane*> running;
-  running.reserve(group.size());
-  for (const std::size_t index : group) {
-    Lane& lane = lanes_[index];
-    lane.result.policy_name = lane.hook.name;
-    lane.clock = RunClock(lane.cfg, lane.program, lane.hook);
-    try {
-      if (lane.hook.on_start) lane.hook.on_start(common::Seconds(0.0));
-    } catch (const std::exception& e) {
-      fail(lane, e.what());
-      continue;
-    } catch (...) {
-      fail(lane, kNonStandardError);
-      continue;
-    }
-    if (over(lane)) {
-      finish(lane);
-      continue;
-    }
-    running.push_back(&lane);
-  }
-  if (!running.empty()) run_lockstep(running);
-
-  // Count finished runs in lane order, as a lane-at-a-time engine would.
-  for (const std::size_t index : group) {
-    const Lane& lane = lanes_[index];
-    if (lane.failed) continue;
-    lane.telemetry.run_finished(lane.result);
-    total_ticks_ += lane.clock.ticks;
-  }
-}
-
-void BatchEngine::run_lockstep(std::span<Lane* const> running) {
-  // Consecutive lanes on equal NodeParams pair up; the rest (a lone lane
-  // among them) tick at width 1.
+void BatchEngine::sweep(const Cohort& cohort) {
   pairs_.clear();
   singles_.clear();
-  for (std::size_t i = 0; i < running.size(); ++i) {
-    Lane& a = *running[i];
-    if (i + 1 < running.size() &&
-        store_.params(a.index) == store_.params(running[i + 1]->index)) {
-      Lane& b = *running[++i];
-      Pair& pair = pairs_.emplace_back(
-          Pair{LanePair(store_.params(a.index)), {&a, &b}, {a.cfg.tick_s, b.cfg.tick_s}, {}});
-      store_.load(pair.state, 0, a.index);
-      store_.load(pair.state, 1, b.index);
-      set_slice_slot(pair.slice, 0, a.executor.slice());
-      set_slice_slot(pair.slice, 1, b.executor.slice());
-    } else {
-      singles_.push_back(&a);
-    }
+  const int groups = cohort.group[1].empty() ? 1 : 2;
+  for (int g = 0; g < groups; ++g) {
+    live_[g] = cohort.group[g].size();
+    for (Lane* lane : cohort.group[g]) lane->draw = g;
+    pair_up(
+        cohort.group[g], [this](Lane& a, Lane& b) { add_pair(a, b); },
+        [this](Lane& a) { singles_.push_back(&a); });
+  }
+  // Each of two groups left exactly one lane out: those pair across seeds.
+  if (groups == 2) {
+    add_pair(*singles_[0], *singles_[1]);
+    singles_.clear();
   }
 
-  // The sweep: one jitter draw per tick index serves every lane still
-  // running. Singles tick before pairs, so a lane a pair hands over this
-  // tick joins the singles from the next tick on. Lanes are independent, so
-  // swap-removing finished ones reorders nothing that matters.
-  common::Rng noise(running.front()->cfg.seed);
+  // The sweep: each tick, one jitter draw per seed that still has a lane
+  // running serves every lane of that seed. Singles tick before pairs, so a
+  // lane a pair hands over this tick joins the singles from the next tick
+  // on. Lanes are independent, so swap-removing finished ones reorders
+  // nothing that matters.
+  common::Rng noise[2] = {common::Rng(cohort.group[0].front()->cfg.seed),
+                          common::Rng(cohort.group[groups - 1].front()->cfg.seed)};
+  double draw[2] = {0.0, 0.0};
+  unsigned long long pair_ticks = 0;
+  unsigned long long single_ticks = 0;
   // magus:hot-path-begin
   while (!pairs_.empty() || !singles_.empty()) {
-    const double jitter = noise.jitter(kern::kTrafficNoiseRel);
+    for (int g = 0; g < groups; ++g) {
+      if (live_[g] > 0) draw[g] = noise[g].jitter(kern::kTrafficNoiseRel);
+    }
+    pair_ticks += pairs_.size();
+    single_ticks += singles_.size();
     for (std::size_t i = 0; i < singles_.size();) {
-      if (step_single(*singles_[i], jitter)) {
+      Lane& lane = *singles_[i];
+      if (step_single(lane, draw[lane.draw])) {
         ++i;
       } else {
+        --live_[lane.draw];
         singles_[i] = singles_.back();
         singles_.pop_back();
       }
     }
     for (std::size_t i = 0; i < pairs_.size();) {
-      if (step_pair(pairs_[i], jitter)) {
+      if (step_pair(pairs_[i], draw)) {
         ++i;
       } else {
         std::swap(pairs_[i], pairs_.back());
@@ -210,6 +227,8 @@ void BatchEngine::run_lockstep(std::span<Lane* const> running) {
     }
   }
   // magus:hot-path-end
+  pair_lane_ticks_ += 2 * pair_ticks;
+  single_lane_ticks_ += single_ticks;
 }
 
 void BatchEngine::run_all() {
@@ -223,6 +242,7 @@ void BatchEngine::run_all() {
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return lanes_[a].cfg.seed < lanes_[b].cfg.seed;
   });
+
   std::vector<std::span<const std::size_t>> groups;
   std::size_t widest = 0;
   for (std::size_t begin = 0; begin < order.size();) {
@@ -234,13 +254,68 @@ void BatchEngine::run_all() {
     widest = std::max(widest, end - begin);
     begin = end;
   }
-  pairs_.reserve(widest / 2);
-  singles_.reserve(widest);
 
-  // The whole tick sweep is a lock-free hot section: run_group is
+  // Sized here so the loop below never allocates. A cohort holds at most
+  // two groups; `running` holds every started lane, so spans into it stay
+  // valid.
+  struct Waiting {
+    std::span<Lane* const> lanes;
+    Lane* out;  ///< the one lane its pairs leave out
+  };
+  std::vector<Lane*> running;
+  running.reserve(lanes_.size());
+  std::vector<Waiting> waiting;
+  waiting.reserve(groups.size());
+  pairs_.reserve(widest);
+  singles_.reserve(2 * widest);
+
+  // Each group starts right before it sweeps, while its lanes are still in
+  // cache (on_start may program the uncore, so no pair loads before it). A
+  // group whose pairs leave exactly one lane out waits, started, until a
+  // later group's lane out has equal NodeParams; the two then sweep as one
+  // cohort (greedily in seed order: `waiting` holds at most one group per
+  // NodeParams). The loop is a lock-free hot section: sweep is
   // MAGUS_LOCK_FREE, and this scope is what grants it the hot-path role.
-  const common::HotPathSection hot_section;
-  for (const std::span<const std::size_t> group : groups) run_group(group);
+  {
+    const common::HotPathSection hot_section;
+    for (const std::span<const std::size_t> group : groups) {
+      const std::size_t begin = running.size();
+      for (const std::size_t index : group) {
+        if (start(lanes_[index])) running.push_back(&lanes_[index]);
+      }
+      const std::span<Lane* const> lanes = std::span<Lane* const>(running).subspan(begin);
+      if (lanes.empty()) continue;
+      Lane* out = nullptr;
+      std::size_t left_out = 0;
+      pair_up(
+          lanes, [](Lane&, Lane&) {},
+          [&](Lane& lane) {
+            ++left_out;
+            out = &lane;
+          });
+      if (left_out != 1) {
+        sweep({{lanes, {}}});
+        continue;
+      }
+      const auto match = std::find_if(waiting.begin(), waiting.end(), [&](const Waiting& w) {
+        return store_.params(w.out->index) == store_.params(out->index);
+      });
+      if (match == waiting.end()) {
+        waiting.push_back({lanes, out});
+        continue;
+      }
+      sweep({{match->lanes, lanes}});
+      waiting.erase(match);
+    }
+    for (const Waiting& group : waiting) sweep({{group.lanes, {}}});
+  }
+
+  // Count finished runs in lane order, as a lane-at-a-time engine would.
+  for (const Lane& lane : lanes_) {
+    if (lane.failed) continue;
+    lane.telemetry.run_finished(lane.result);
+    total_ticks_ += lane.clock.ticks;
+  }
 }
 
 }  // namespace magus::sim

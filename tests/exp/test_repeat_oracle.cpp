@@ -1,9 +1,11 @@
 // The repetition protocol's arm batch against its oracle. run_repetitions
-// runs every arm of one repetition as a lane of one BatchRun on the
-// repetition's seed, sharing its noise draw; each run must equal run_policy
-// on the same jittered program, seed, policy and options, field for field,
-// at any job count. The single-policy run_repeated (the one-arm case) must
-// agree with the matching arm of a multi-arm call.
+// runs every arm of two consecutive repetitions as lanes of one BatchRun,
+// each repetition's arms on its own seed and sharing its noise draw; each
+// run must equal run_policy on the same jittered program, seed, policy and
+// options, field for field, at any job count and repetition count. The
+// single-policy run_repeated (the one-arm case) must agree with the
+// matching arm of a multi-arm call, and a policy failure in either
+// repetition of a batch keeps its type.
 
 #include <gtest/gtest.h>
 
@@ -90,10 +92,37 @@ std::vector<me::Arm> fig4_arms(const me::RunOptions& opts = {}) {
 }  // namespace
 
 TEST(RepeatArmOracle, SingleDieMatchesRunPolicyAtOneAndFourJobs) {
+  // Repetitions run two to a batch: 1 and 7 leave an odd last repetition
+  // alone, 2 is one full batch, 3 a batch plus a lone one.
+  for (const int reps : {1, 2, 3, 7}) {
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(std::to_string(reps) + " reps, jobs " + std::to_string(jobs));
+      expect_arms_match_oracle(ms::intel_a100(), mw::make_workload("bfs"), fig4_arms(),
+                               spec_of(reps, 301), jobs);
+    }
+  }
+}
+
+TEST(RepeatArmOracle, FailureInTheSecondRepetitionOfABatchKeepsItsType) {
+  // At this fault weather, seed and jitter, UPS's first MSR -EIO on its
+  // uncore-limit register lands inside repetition 1 only: repetition 0 ends
+  // before it. Repetition 1 shares repetition 0's batch, and its failure
+  // still surfaces as common::DeviceError.
+  me::RunOptions faulty;
+  faulty.fault.rate = 0.003;
+  faulty.fault.seed = 10;
+  const std::vector<me::Arm> arms{{"default", {}}, {"magus", {}}, {"ups", faulty}};
+  me::RepeatSpec spec = spec_of(1, 1);
+  spec.jitter.duration_rel = 0.3;
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("jobs " + std::to_string(jobs));
-    expect_arms_match_oracle(ms::intel_a100(), mw::make_workload("bfs"), fig4_arms(),
-                             spec_of(3, 301), jobs);
+    JobsGuard guard(jobs);
+    const mw::PhaseProgram program = mw::make_workload("bfs");
+    spec.repetitions = 1;
+    EXPECT_NO_THROW((void)me::run_repeated(ms::intel_a100(), program, arms, spec));
+    spec.repetitions = 2;
+    EXPECT_THROW((void)me::run_repeated(ms::intel_a100(), program, arms, spec),
+                 mc::DeviceError);
   }
 }
 

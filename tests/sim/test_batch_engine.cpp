@@ -1,13 +1,15 @@
 // BatchEngine lanes that share an EngineConfig::seed tick in lockstep on one
 // noise draw per tick, consecutive lanes on equal node parameters paired
-// through the two-wide kernel. Whatever each lane does -- outlive its
-// partner, stop before it, throw at on_start or at a sample boundary (a
-// std::exception or anything else), hit its safety cap, tick at its own
-// tick_s, or sit in a group of mixed systems and die layouts -- its result
-// must equal the same lane run alone, field for field. A failed lane keeps
-// its exception's type, and a lane with engine telemetry counts its run
-// like SimEngine::run; both are checked through exp::run_repeated, whose
-// repetitions are arm batches.
+// through the two-wide kernel; two seed groups that each leave one lane out
+// sweep as one cohort, those two lanes paired across seeds. Whatever each
+// lane does -- outlive its partner, stop before it, throw at on_start or at
+// a sample boundary (a std::exception or anything else), hit its safety
+// cap, tick at its own tick_s, sit in a group of mixed systems and die
+// layouts, or pair with a lane on another seed -- its result must equal the
+// same lane run alone, field for field. The pairing counters show which
+// lanes paired. A failed lane keeps its exception's type, and a lane with
+// engine telemetry counts its run like SimEngine::run; both are checked
+// through exp::run_repeated, whose repetitions are arm batches.
 
 #include <gtest/gtest.h>
 
@@ -19,10 +21,13 @@
 
 #include "magus/common/error.hpp"
 #include "magus/common/quantity.hpp"
+#include "magus/common/rng.hpp"
+#include "magus/exp/batch.hpp"
 #include "magus/exp/repeat.hpp"
 #include "magus/sim/batch_engine.hpp"
 #include "magus/telemetry/registry.hpp"
 #include "magus/wl/catalog.hpp"
+#include "magus/wl/jitter.hpp"
 #include "magus/wl/patterns.hpp"
 #include "sim_result_fields.hpp"
 
@@ -114,9 +119,9 @@ std::size_t add(ms::BatchEngine& engine, const LaneSpec& spec) {
   return lane;
 }
 
-/// Runs `specs` as one batch and each spec alone, and compares lane by lane.
-void expect_each_lane_matches_alone(const std::vector<LaneSpec>& specs) {
-  ms::BatchEngine batch;
+/// Runs `specs` as `batch` and each spec alone, and compares lane by lane.
+void expect_each_lane_matches_alone(ms::BatchEngine& batch,
+                                    const std::vector<LaneSpec>& specs) {
   for (const LaneSpec& spec : specs) add(batch, spec);
   batch.run_all();
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -132,6 +137,11 @@ void expect_each_lane_matches_alone(const std::vector<LaneSpec>& specs) {
     EXPECT_EQ(magus::test::result_fields(batch.result(i)),
               magus::test::result_fields(alone.result(0)));
   }
+}
+
+void expect_each_lane_matches_alone(const std::vector<LaneSpec>& specs) {
+  ms::BatchEngine batch;
+  expect_each_lane_matches_alone(batch, specs);
 }
 
 }  // namespace
@@ -215,6 +225,136 @@ TEST(BatchEngineSharedSeed, LanesTickAtDifferentSteps) {
   LaneSpec fine{7, 2.0, Hook::kThrottle};
   fine.tick_s = 0.001;
   expect_each_lane_matches_alone({fine, {7, 2.0, Hook::kDefault}});
+}
+
+// Seed groups that each leave one lane out of their pairs sweep as one
+// cohort, the two lanes out paired across seeds, slot k on its own seed's
+// draw. Every lane must still equal the lane run alone.
+
+TEST(BatchEngineCrossSeed, LeftoversOfTwoThreeLaneGroupsPair) {
+  // Pairs (0, 1), (3, 4) and, across seeds 7 and 8, (2, 5): no lane ticks at
+  // width 1 before the first one finishes.
+  ms::BatchEngine batch;
+  expect_each_lane_matches_alone(batch, {{7, 2.0, Hook::kDefault},
+                                         {7, 2.5, Hook::kThrottle},
+                                         {7, 1.5, Hook::kThrottle},
+                                         {8, 3.0, Hook::kThrottle},
+                                         {8, 2.0, Hook::kDefault},
+                                         {8, 2.5, Hook::kDefault}});
+  unsigned long long first_end = batch.result(0).ticks;
+  for (std::size_t i = 1; i < batch.lane_count(); ++i) {
+    first_end = std::min(first_end, batch.result(i).ticks);
+  }
+  EXPECT_GE(batch.pair_lane_ticks(), 6 * first_end);
+  EXPECT_EQ(batch.pair_lane_ticks() + batch.single_lane_ticks(), batch.total_ticks());
+}
+
+TEST(BatchEngineCrossSeed, LeftoversOnUnequalParamsStaySingle) {
+  // Seed 7 leaves an intel_a100 lane out, seed 8 an amd_mi250 one: no
+  // cohort forms, and both tick at width 1 for their whole runs (each
+  // group's pair is two identical lanes, which end on the same tick).
+  ms::BatchEngine batch;
+  const LaneSpec mi250{8, 2.0, Hook::kThrottle, "amd_mi250"};
+  expect_each_lane_matches_alone(batch, {{7, 2.0, Hook::kDefault},
+                                         {7, 2.0, Hook::kDefault},
+                                         {7, 1.5, Hook::kThrottle},
+                                         mi250,
+                                         mi250,
+                                         mi250});
+  EXPECT_EQ(batch.single_lane_ticks(), batch.result(2).ticks + batch.result(5).ticks);
+}
+
+TEST(BatchEngineCrossSeed, SlotThrowsAtStart) {
+  // Seed 8's first lane throws at on_start, so its second is the lane out
+  // and pairs with seed 7's.
+  expect_each_lane_matches_alone({{7, 2.0, Hook::kDefault},
+                                  {7, 2.5, Hook::kThrottle},
+                                  {7, 1.5, Hook::kThrottle},
+                                  {8, 2.0, Hook::kThrowAtStart},
+                                  {8, 3.0, Hook::kThrottle}});
+}
+
+TEST(BatchEngineCrossSeed, SlotThrowsAtMidRunSample) {
+  // Lone lanes on seeds 7 and 8 pair; either slot fails at a sample and
+  // the other goes on at width 1 on its own seed's draws.
+  expect_each_lane_matches_alone({{7, 3.0, Hook::kThrowMidRun}, {8, 3.0, Hook::kThrottle}});
+  expect_each_lane_matches_alone({{7, 3.0, Hook::kThrottle}, {8, 3.0, Hook::kThrowIntMidRun}});
+}
+
+TEST(BatchEngineCrossSeed, SlotFinishesFirst) {
+  // The first seed's lane finishes first (its stream stops drawing), then
+  // the second seed's.
+  expect_each_lane_matches_alone({{7, 1.0, Hook::kThrottle}, {8, 4.0, Hook::kDefault}});
+  expect_each_lane_matches_alone({{7, 4.0, Hook::kDefault}, {8, 1.0, Hook::kThrottle}});
+}
+
+TEST(BatchEngineCrossSeed, ThreeOddGroupsLeaveOneSingle) {
+  // Seeds 7 and 8 form a cohort; seed 9's lane out has no partner left and
+  // ticks at width 1 for its whole run.
+  ms::BatchEngine batch;
+  expect_each_lane_matches_alone(batch, {{7, 2.0, Hook::kThrottle},
+                                         {8, 2.0, Hook::kDefault},
+                                         {9, 2.0, Hook::kThrottle},
+                                         {9, 2.5, Hook::kDefault},
+                                         {9, 1.5, Hook::kThrottle}});
+  EXPECT_GE(batch.single_lane_ticks(), batch.result(4).ticks);
+  EXPECT_GE(batch.pair_lane_ticks(),
+            2 * std::min(batch.result(0).ticks, batch.result(1).ticks));
+}
+
+TEST(BatchEngineCrossSeed, LaneOutJoinsTheEarliestMatchingGroup) {
+  // In seed order the lanes out are a100, mi250, a100: seeds 7 and 9 pair
+  // past seed 8, whose mi250 lane ticks alone.
+  ms::BatchEngine batch;
+  expect_each_lane_matches_alone(batch, {{7, 2.0, Hook::kThrottle},
+                                         {8, 2.0, Hook::kDefault, "amd_mi250"},
+                                         {9, 2.0, Hook::kDefault}});
+  EXPECT_GE(batch.single_lane_ticks(), batch.result(1).ticks);
+  EXPECT_GE(batch.pair_lane_ticks(),
+            2 * std::min(batch.result(0).ticks, batch.result(2).ticks));
+}
+
+TEST(BatchEnginePairing, EvenSeedGroupsNeverMerge) {
+  // Each seed holds an intel_a100 and an amd_mi250 lane, which cannot pair
+  // with each other; the two a100 lanes (and the two mi250 lanes) could
+  // pair across seeds, but groups with no single lane out never share a
+  // sweep: every tick is width 1.
+  ms::BatchEngine batch;
+  const LaneSpec mi250_7{7, 2.0, Hook::kDefault, "amd_mi250"};
+  LaneSpec mi250_8 = mi250_7;
+  mi250_8.seed = 8;
+  expect_each_lane_matches_alone(
+      batch, {{7, 2.0, Hook::kThrottle}, mi250_7, {8, 2.0, Hook::kThrottle}, mi250_8});
+  EXPECT_EQ(batch.pair_lane_ticks(), 0u);
+  EXPECT_EQ(batch.single_lane_ticks(), batch.total_ticks());
+}
+
+TEST(BatchEnginePairing, TwoRepetitionBatchTicksOnlyPairsUntilALaneEnds) {
+  // Two Fig. 4 repetitions as run_repetitions lays them out in one batch:
+  // (d0, m0), (d1, m1) and, across the two seeds, (u0, u1).
+  const ms::SystemSpec system = ms::intel_a100();
+  const mw::PhaseProgram program = mw::make_workload("bfs");
+  const mc::Rng master(21);
+  std::vector<me::RunOptions> opts(6);
+  me::BatchRun batch;
+  for (std::uint64_t rep = 0; rep < 2; ++rep) {
+    mc::Rng rep_rng = master.fork(rep);
+    const mw::PhaseProgram jittered = mw::apply_jitter(program, rep_rng);
+    for (const char* policy : {"default", "magus", "ups"}) {
+      me::RunOptions& o = opts[batch.job_count()];
+      o.engine.seed = 21 * 1000003ull + rep;
+      o.engine.record_traces = false;
+      (void)batch.add(system, jittered, policy, o);
+    }
+  }
+  batch.run_all();
+  unsigned long long first_end = batch.output(0).result.ticks;
+  for (std::size_t job = 0; job < batch.job_count(); ++job) {
+    ASSERT_FALSE(batch.failed(job));
+    first_end = std::min(first_end, batch.output(job).result.ticks);
+  }
+  EXPECT_GE(batch.pair_lane_ticks(), 6 * first_end);
+  EXPECT_EQ(batch.pair_lane_ticks() + batch.single_lane_ticks(), batch.total_ticks());
 }
 
 namespace {

@@ -7,7 +7,8 @@
 // tick of each of their twins leaves. The cases cover both kernel bodies
 // (1-4 dies, NUMA skew 0 and 0.3), packages on either side of the firmware
 // threshold, a slot whose memory capacity is <= 0, a memo miss on one slot
-// only, and slots ticking at different dt.
+// only, and slots ticking at different dt and on different jitter draws
+// (two lanes on different seeds).
 
 #include <gtest/gtest.h>
 
@@ -166,7 +167,9 @@ TEST(KernelWidth, PairTickEqualsTwoSingleTicks) {
       for (Inputs& lane_in : in) lane_in = random_inputs(g, p, lane_in);
       // A memo miss on one slot only: its dt (or slice) moved, the other's not.
       if (g.int_in(0, 3) == 0) in[1] = {in[0].dt, in[1].slice, in[1].extra_w};
-      const double jitter = 1.0 + 0.006 * (g.uniform() - 0.5);
+      // Each slot's own draw, as for two lanes on different seeds.
+      const double jitter[2] = {1.0 + 0.006 * (g.uniform() - 0.5),
+                                1.0 + 0.006 * (g.uniform() - 0.5)};
       const ms::BasicWorkSlice<mk::Pack2> slice{
           {in[0].slice.demand_mbps, in[1].slice.demand_mbps},
           {in[0].slice.mem_bound_frac, in[1].slice.mem_bound_frac},
@@ -174,11 +177,12 @@ TEST(KernelWidth, PairTickEqualsTwoSingleTicks) {
           {in[0].slice.gpu_util, in[1].slice.gpu_util}};
       const ms::BasicTickOutput<mk::Pack2> wide =
           pair.tick(mk::Pack2{in[0].dt, in[1].dt}, slice,
-                    mk::Pack2{in[0].extra_w, in[1].extra_w}, jitter);
+                    mk::Pack2{in[0].extra_w, in[1].extra_w},
+                    mk::Pack2{jitter[0], jitter[1]});
       for (int k = 0; k < 2; ++k) {
         SCOPED_TRACE("slot " + std::to_string(k));
         const ms::TickOutput one = store.tick(static_cast<std::size_t>(k + 2), in[k].dt,
-                                              in[k].slice, in[k].extra_w, jitter);
+                                              in[k].slice, in[k].extra_w, jitter[k]);
         expect_same_output(wide, k, one);
       }
     }
