@@ -14,6 +14,7 @@
 #include "magus/sim/kernel.hpp"
 #include "magus/sim/system_preset.hpp"
 #include "magus/telemetry/event_log.hpp"
+#include "magus/telemetry/registry.hpp"
 #include "magus/wl/catalog.hpp"
 
 namespace magus::fleet {
@@ -87,6 +88,16 @@ std::vector<std::string> FleetManifest::validate() const {
     errors.push_back("budget_epoch_s must be finite and > 0 (got " +
                      std::to_string(budget_epoch_s_) + ")");
   }
+  // Rng::jitter clamps to [1 - 3 rel, 1 + 3 rel]: at rel >= 1/3 a phase can
+  // get a zero or negative duration or demand.
+  auto check_jitter = [&](const char* key, double rel) {
+    if (!(rel >= 0.0 && rel < 1.0 / 3.0)) {
+      errors.push_back(std::string(key) + " must be finite and in [0, 1/3) (got " +
+                       telemetry::format_double(rel) + ")");
+    }
+  };
+  check_jitter("jitter_duration_rel", jitter_.duration_rel);
+  check_jitter("jitter_demand_rel", jitter_.demand_rel);
   try {
     fault_.validate();
   } catch (const common::Error& e) {

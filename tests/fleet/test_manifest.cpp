@@ -103,6 +103,43 @@ TEST(FleetManifest, NonFiniteBudgetRejected) {
   }
 }
 
+TEST(FleetManifest, JitterOutOfRangeRejected) {
+  // At rel >= 1/3 the clamp 1 - 3 rel reaches zero; a negative rel is no
+  // spread at all. Both are config errors, not failed nodes.
+  for (const double bad : {0.5, 1.0 / 3.0, -0.1, 2.0, 1e300,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    mf::FleetManifest manifest;
+    manifest.add_node(mf::NodeSpec{}.name("a"));
+    magus::wl::JitterConfig jitter;
+    jitter.duration_rel = bad;
+    jitter.demand_rel = bad;
+    manifest.jitter(jitter);
+    const auto errors = manifest.validate();
+    ASSERT_EQ(errors.size(), 2u) << bad;
+    EXPECT_NE(errors[0].find("jitter_duration_rel"), std::string::npos) << errors[0];
+    EXPECT_NE(errors[1].find("jitter_demand_rel"), std::string::npos) << errors[1];
+    EXPECT_THROW(manifest.validate_or_throw(), magus::common::ConfigError);
+  }
+}
+
+TEST(FleetManifest, JitterInRangeAcceptedAndRoundTrips) {
+  for (const double ok : {0.0, 0.3}) {
+    mf::FleetManifest manifest;
+    manifest.add_node(mf::NodeSpec{}.name("a"));
+    magus::wl::JitterConfig jitter;
+    jitter.duration_rel = ok;
+    jitter.demand_rel = ok;
+    manifest.jitter(jitter);
+    EXPECT_TRUE(manifest.validate().empty()) << ok;
+    const mf::FleetManifest back = mf::FleetManifest::from_jsonl(manifest.to_jsonl());
+    EXPECT_EQ(back.jitter().duration_rel, ok);
+    EXPECT_EQ(back.jitter().demand_rel, ok);
+    EXPECT_TRUE(back.validate().empty()) << ok;
+    EXPECT_EQ(back.to_jsonl(), manifest.to_jsonl());
+  }
+}
+
 TEST(FleetManifest, EmptyFleetRejected) {
   const auto errors = mf::FleetManifest{}.validate();
   ASSERT_EQ(errors.size(), 1u);
