@@ -10,9 +10,10 @@
 // tick runs exactly the IEEE-754 operation sequence a double tick runs on
 // lane k: every branch is an exact select that keeps std::min/max/clamp
 // operand order (skipped whole when no slot would take it, so a steady
-// lane's state does not wait on the select's inputs), memo misses (the
-// governor exp, the boost pow, the ladder quantisation) are computed slot by
-// slot in scalar, and nothing is reassociated. The golden determinism tests
+// lane's state does not wait on the select's inputs), misses of the scalar
+// memos (the governor exp, the boost pow, the ladder quantisation) are
+// computed slot by slot, a memory-service miss recomputes both slots
+// two-wide, and nothing is reassociated. The golden determinism tests
 // and the fleet rollup goldens pin its bit patterns, and
 // tests/sim/test_kernel_width.cpp checks a width-2 tick against two width-1
 // ticks. Keep every expression here in the exact order it has --
@@ -21,12 +22,21 @@
 //
 // Hoist or memoize a value only when its inputs are bit-identical: the same
 // IEEE-754 operation on the same operands gives the same bits, so reusing
-// the result is exact. The governor alphas (1 - exp(-dt/tau)) are memoized
-// on dt, the GPU boost curve (pow(util, 0.7)) on util and the firmware cap's
-// ladder quantisation on the cap, all in the lane's own state, so a lane
-// ticking at its fixed tick_s pays each exp once, a steady phase pays the
-// pow once and a steady firmware cap the quantisation once; any other input
-// recomputes.
+// the result is exact. Four memos live in the lane's own state:
+//   - the governor alphas (1 - exp(-dt/tau)), on dt;
+//   - the GPU boost curve (pow(util, 0.7)), on util;
+//   - the firmware cap's ladder quantisation, on the cap;
+//   - the memory service (BasicServiceMemo): capacity, service, the stretch
+//     divisions and the uncore and DRAM power, on the slice's demand,
+//     memory-bound fraction and GPU utilisation plus every domain's uncore
+//     frequency, compared bit for bit.
+// So a lane ticking at its fixed tick_s pays each exp once, a steady phase
+// pays the pow once, a steady firmware cap the quantisation once, and a
+// steady phase at a steady uncore the memory service once; any other input
+// recomputes. Every memoized value is a pure function of its key and the
+// NodeParams, written together with its key, so a memo is right wherever it
+// sits: LaneStore::load/save leave the service memo behind, and each side
+// goes on with its own.
 //
 // Functions here are contract-free on purpose: inputs are validated where
 // they enter (LaneStore::add_lane, the hw backends, manifest validation), so
@@ -82,10 +92,14 @@ inline constexpr double kGpuGovernorTau = 0.08;
 inline constexpr double kTrafficNoiseRel = 0.002;
 /// OS + housekeeping DRAM traffic always present (MB/s).
 inline constexpr double kBackgroundTrafficMbps = 300.0;
-/// Hard cap on sockets * dies_per_socket: the per-domain tick path uses
-/// fixed stack scratch (no heap in the hot path). Enforced at the API
-/// boundaries (LaneStore::add_lane, manifest validation), not here.
+/// Hard cap on sockets * dies_per_socket, an input bound on the node shape
+/// (far above any modelled part). Enforced at the API boundaries
+/// (LaneStore::add_lane, manifest validation), not here.
 inline constexpr int kMaxDomains = 64;
+/// Key of a fresh memory-service memo. That memo compares bit patterns, and
+/// no arithmetic result or parsed number is a signaling NaN, so a fresh memo
+/// misses on every input.
+inline constexpr double kFreshKey = std::numeric_limits<double>::signaling_NaN();
 
 // --- per-subsystem state (POD, SoA-friendly) -------------------------------
 
@@ -102,6 +116,37 @@ struct BasicUncoreState {
   V policy_limit_ghz{};  ///< MSR 0x620 MAX_RATIO, ladder-clamped
   V firmware_cap_ghz{};  ///< TDP back-off cap on top of the limit
   V freq_ghz{};          ///< effective frequency (slews to the min)
+  // The domain's part of the memory-service memo (BasicServiceMemo): its key
+  // and, for the per-domain body, the domain's service.
+  V served_ghz = splat<V>(kFreshKey);  ///< key: freq_ghz at the last miss
+  V delivered_mbps{};
+  V stretch{};
+  V power_w{};  ///< the die's uncore power
+};
+
+/// The memory-service memo of node_tick, per lane: what the tick's memory
+/// half computes, keyed on the slice fields below plus every domain's
+/// BasicUncoreState::served_ghz. A tick whose key matches the last miss's,
+/// bit for bit in every slot, reuses all of it; otherwise every slot
+/// recomputes.
+template <class V>
+struct BasicServiceMemo {
+  V demand_mbps = splat<V>(kFreshKey);     ///< key
+  V mem_bound_frac = splat<V>(kFreshKey);  ///< key
+  V gpu_util = splat<V>(kFreshKey);        ///< key
+  V delivered_mbps{};                      ///< node-wide (single-domain body)
+  V stretch{};                             ///< the node's (worst domain's)
+  V ipc_eff{};                             ///< kBaseIpc / stretch
+  V gpu_util_eff{};                        ///< gpu_util / stretch
+  V progress_rate{};                       ///< 1 / stretch
+  V dram_total_w{};                        ///< all sockets
+};
+
+/// The memory-service memo's per-socket values.
+template <class V>
+struct BasicSocketService {
+  V uncore_w{};  ///< the socket's uncore power, all dies
+  V dram_w{};
 };
 
 template <class V>
@@ -129,6 +174,8 @@ struct BasicGpuState {
 };
 
 using UncoreState = BasicUncoreState<double>;
+using ServiceMemo = BasicServiceMemo<double>;
+using SocketService = BasicSocketService<double>;
 using FirmwareState = BasicFirmwareState<double>;
 using Memo = BasicMemo<double>;
 using CoreState = BasicCoreState<double>;
@@ -406,6 +453,75 @@ inline void gpu_tick(BasicGpuState<V>& st, const GpuParams& p, V dt, V util_effe
 
 // --- the whole-node tick ---------------------------------------------------
 
+/// True when the memory-service memo's key moved in some slot. Bit patterns,
+/// not ==: -0.0, which Phase::valid admits, misses against 0.0, so no
+/// signed-zero argument is needed.
+template <class V, class Lane>
+[[nodiscard]] inline bool service_key_moved(Lane& lane, int domains,
+                                            const BasicWorkSlice<V>& slice) {
+  const BasicServiceMemo<V>& m = lane.service();
+  BitsOf<V> moved = bits_xor(slice.demand_mbps, m.demand_mbps) |
+                    bits_xor(slice.mem_bound_frac, m.mem_bound_frac) |
+                    bits_xor(slice.gpu_util, m.gpu_util);
+  for (int d = 0; d < domains; ++d) {
+    const BasicUncoreState<V>& u = lane.uncore(d);
+    moved |= bits_xor(u.freq_ghz, u.served_ghz);
+  }
+  return any_bits(moved);
+}
+
+/// On a miss: the memo's slice key and lane-level values. The bodies write
+/// the domain keys and the per-domain and per-socket values themselves.
+template <class V>
+inline void memoize_service(BasicServiceMemo<V>& m, const BasicWorkSlice<V>& slice,
+                            V delivered, V stretch, V dram_total) {
+  m.demand_mbps = slice.demand_mbps;
+  m.mem_bound_frac = slice.mem_bound_frac;
+  m.gpu_util = slice.gpu_util;
+  m.delivered_mbps = delivered;
+  m.stretch = stretch;
+  m.ipc_eff = kBaseIpc / stretch;
+  m.gpu_util_eff = slice.gpu_util / stretch;
+  m.progress_rate = 1.0 / stretch;
+  m.dram_total_w = dram_total;
+}
+
+/// The tick after its memory half, shared by both bodies: the core and GPU
+/// governors, then package and DRAM power and energy per socket, all off
+/// the service memo. Memory stalls depress effective IPC and the device's
+/// achieved utilisation alike; a running monitor executes on socket 0.
+template <class V, class Lane>
+inline BasicTickOutput<V> finish_tick(Lane& lane, const NodeParams& p, V dt, V cpu_util,
+                                      V monitor_extra_w, V delivered_noisy) {
+  const V zero = splat<V>(0.0);
+  const BasicServiceMemo<V>& m = lane.service();
+  core_tick(lane.core(), p.core, dt, cpu_util, m.ipc_eff);
+  gpu_tick(lane.gpu(), p.gpu, dt, m.gpu_util_eff);
+
+  // Core power has the same operands on every socket: computed once.
+  const V core_w = core_power_w(lane.core(), p.core, cpu_util);
+  V pkg_total = zero;
+  for (int s = 0; s < p.sockets; ++s) {
+    const BasicSocketService<V>& service = lane.socket_service(s);
+    const V monitor_w = (s == 0) ? monitor_extra_w : zero;
+    const V pkg_w = core_w + service.uncore_w + monitor_w;
+    lane.pkg_energy(s) += pkg_w * dt;
+    lane.dram_energy(s) += service.dram_w * dt;
+    lane.last_pkg_w(s) = pkg_w;
+    pkg_total += pkg_w;
+  }
+
+  BasicTickOutput<V> out;
+  out.progress_rate = m.progress_rate;
+  out.delivered_mbps = delivered_noisy;
+  out.pkg_power_w = pkg_total;
+  out.dram_power_w = m.dram_total_w;
+  out.gpu_power_w = lane.gpu().power_w;
+  out.uncore_freq_ghz = lane.uncore(0).freq_ghz;
+  out.stretch = m.stretch;
+  return out;
+}
+
 /// Advance one node (V = double) or two (V = Pack2, one per slot) by `dt`
 /// under `slice`. `jitter` is the tick's traffic noise factor, drawn by the
 /// caller (common::Rng::jitter(kTrafficNoiseRel), one draw per tick): the
@@ -416,6 +532,8 @@ inline void gpu_tick(BasicGpuState<V>& st, const GpuParams& p, V dt, V util_effe
 ///   lane.firmware(s) -> BasicFirmwareState&  lane.dram_energy(s) -> V&
 ///   lane.core()      -> BasicCoreState&      lane.last_pkg_w(s)  -> V&
 ///   lane.gpu()       -> BasicGpuState&       lane.traffic_mb()   -> V&
+///   lane.service()   -> BasicServiceMemo&    lane.socket_service(s)
+///                                              -> BasicSocketService&
 ///   lane.domain_traffic_mb(d)    -> V&   (cumulative MB, per domain)
 ///   lane.domain_uncore_energy(d) -> V&   (cumulative J, per domain)
 ///   lane.domain_stretch_time(d)  -> V&   (integral of stretch, per domain)
@@ -425,12 +543,16 @@ inline void gpu_tick(BasicGpuState<V>& st, const GpuParams& p, V dt, V util_effe
 /// differ per slot.
 ///
 /// Two bodies share the entry point. p.single_domain() selects the legacy
-/// path, whose statement order the seed goldens pin; the per-domain accumulators
+/// path, whose arithmetic the seed goldens pin; the per-domain accumulators
 /// added to it only read values the legacy sequence already computed.
 /// Multi-die or NUMA-skewed nodes take the per-domain path: demand splits
 /// across domains (numa_skew pinned to domain 0, remainder uniform), each
 /// domain services its share against its own die capacity, and node stretch
-/// is the worst domain's.
+/// is the worst domain's. Either body computes its memory half -- capacity,
+/// service, the stretch divisions, uncore and DRAM power -- only when the
+/// service memo's key moved (a Pack2 miss in either slot recomputes both:
+/// the unchanged slot gets the same bits); every tick runs the firmware,
+/// the jitter multiply, the accumulators, the governors and core power.
 template <class V, class Lane>
 BasicTickOutput<V> node_tick(Lane&& lane, const NodeParams& p, V dt,
                              const BasicWorkSlice<V>& slice, V monitor_extra_w, V jitter) {
@@ -446,61 +568,45 @@ BasicTickOutput<V> node_tick(Lane&& lane, const NodeParams& p, V dt,
       uncore_tick(lane.uncore(s), dt);
     }
 
-    // 2. Memory service against the combined capacity.
-    const V demand = slice.demand_mbps + kBackgroundTrafficMbps;
-    V capacity = zero;
-    for (int s = 0; s < p.sockets; ++s) {
-      capacity += uncore_capacity_at(p.uncore, lane.uncore(s).freq_ghz);
+    // 2. Memory service against the combined capacity. The workload splits
+    //    evenly across sockets.
+    if (service_key_moved(lane, p.sockets, slice)) {
+      const V demand = slice.demand_mbps + kBackgroundTrafficMbps;
+      V capacity = zero;
+      for (int s = 0; s < p.sockets; ++s) {
+        capacity += uncore_capacity_at(p.uncore, lane.uncore(s).freq_ghz);
+      }
+      const BasicMemoryService<V> mem = service_memory(demand, capacity, slice.mem_bound_frac);
+      const V bw_frac_per_socket =
+          p.uncore.peak_mem_bw_mbps > 0.0
+              ? vclamp(mem.delivered / static_cast<double>(p.sockets) /
+                           p.uncore.peak_mem_bw_mbps,
+                       zero, one)
+              : zero;
+      const V dram_w = p.dram_idle_w + p.dram_dyn_w * bw_frac_per_socket;
+      V dram_total = zero;
+      for (int s = 0; s < p.sockets; ++s) {
+        BasicUncoreState<V>& u = lane.uncore(s);
+        u.served_ghz = u.freq_ghz;
+        lane.socket_service(s) = {uncore_power(u, p.uncore, mem.utilization), dram_w};
+        dram_total += dram_w;
+      }
+      memoize_service(lane.service(), slice, mem.delivered, mem.stretch, dram_total);
     }
-    const BasicMemoryService<V> mem = service_memory(demand, capacity, slice.mem_bound_frac);
 
-    // 3. Core + GPU domains. Memory stalls depress effective IPC and the
-    //    device's achieved utilisation alike.
-    const V ipc_eff = kBaseIpc / mem.stretch;
-    core_tick(lane.core(), p.core, dt, slice.cpu_util, ipc_eff);
-    gpu_tick(lane.gpu(), p.gpu, dt, slice.gpu_util / mem.stretch);
-
-    // 4. Power + energy. The workload splits evenly across sockets; a running
-    //    monitor executes on socket 0.
-    const V delivered_noisy = vmax(zero, mem.delivered * jitter);
+    // 3. The tick's jitter factor on the delivered traffic, and the
+    //    per-domain accumulators (domain == socket here). These feed the
+    //    per-domain rollups only; nothing below reads them back.
+    const BasicServiceMemo<V>& m = lane.service();
+    const V delivered_noisy = vmax(zero, m.delivered_mbps * jitter);
     lane.traffic_mb() += delivered_noisy * dt;
-
-    V pkg_total = zero;
-    V dram_total = zero;
-    const V bw_frac_per_socket =
-        p.uncore.peak_mem_bw_mbps > 0.0
-            ? vclamp(mem.delivered / static_cast<double>(p.sockets) /
-                         p.uncore.peak_mem_bw_mbps,
-                     zero, one)
-            : zero;
     const V domain_mb = delivered_noisy * dt / static_cast<double>(p.sockets);
     for (int s = 0; s < p.sockets; ++s) {
-      const V core_w = core_power_w(lane.core(), p.core, slice.cpu_util);
-      const V uncore_w = uncore_power(lane.uncore(s), p.uncore, mem.utilization);
-      const V monitor_w = (s == 0) ? monitor_extra_w : zero;
-      const V pkg_w = core_w + uncore_w + monitor_w;
-      const V dram_w = p.dram_idle_w + p.dram_dyn_w * bw_frac_per_socket;
-      lane.pkg_energy(s) += pkg_w * dt;
-      lane.dram_energy(s) += dram_w * dt;
-      lane.last_pkg_w(s) = pkg_w;
-      pkg_total += pkg_w;
-      dram_total += dram_w;
-      // Per-domain accumulators (domain == socket here). These feed the
-      // per-domain rollups only; nothing below reads them back.
-      lane.domain_uncore_energy(s) += uncore_w * dt;
+      lane.domain_uncore_energy(s) += lane.socket_service(s).uncore_w * dt;
       lane.domain_traffic_mb(s) += domain_mb;
-      lane.domain_stretch_time(s) += mem.stretch * dt;
+      lane.domain_stretch_time(s) += m.stretch * dt;
     }
-
-    BasicTickOutput<V> out;
-    out.progress_rate = 1.0 / mem.stretch;
-    out.delivered_mbps = delivered_noisy;
-    out.pkg_power_w = pkg_total;
-    out.dram_power_w = dram_total;
-    out.gpu_power_w = lane.gpu().power_w;
-    out.uncore_freq_ghz = lane.uncore(0).freq_ghz;
-    out.stretch = mem.stretch;
-    return out;
+    return finish_tick(lane, p, dt, slice.cpu_util, monitor_extra_w, delivered_noisy);
   }
 
   // --- per-domain path (dies_per_socket > 1 or numa_skew != 0) -------------
@@ -521,75 +627,56 @@ BasicTickOutput<V> node_tick(Lane&& lane, const NodeParams& p, V dt,
 
   // 2. Per-domain memory service: numa_skew of the demand pins to domain 0,
   //    the rest spreads evenly; each domain runs against its die capacity.
-  const V demand = slice.demand_mbps + kBackgroundTrafficMbps;
-  const double spread = (1.0 - p.numa_skew) / static_cast<double>(domains);
-  V delivered_d[kMaxDomains];
-  V util_d[kMaxDomains];
-  V stretch_d[kMaxDomains];
-  V stretch = one;
-  for (int d = 0; d < domains; ++d) {
-    const double share = spread + ((d == 0) ? p.numa_skew : 0.0);
-    const V cap_d = uncore_capacity_at(p.die, lane.uncore(d).freq_ghz);
-    const BasicMemoryService<V> m =
-        service_memory(demand * share, cap_d, slice.mem_bound_frac);
-    delivered_d[d] = m.delivered;
-    util_d[d] = m.utilization;
-    stretch_d[d] = m.stretch;
-    stretch = vmax(stretch, m.stretch);
+  //    Core + GPU see the worst domain's stretch (the critical path); socket
+  //    uncore power is the sum of its dies.
+  if (service_key_moved(lane, domains, slice)) {
+    const V demand = slice.demand_mbps + kBackgroundTrafficMbps;
+    const double spread = (1.0 - p.numa_skew) / static_cast<double>(domains);
+    V stretch = one;
+    for (int d = 0; d < domains; ++d) {
+      const double share = spread + ((d == 0) ? p.numa_skew : 0.0);
+      BasicUncoreState<V>& u = lane.uncore(d);
+      const V cap_d = uncore_capacity_at(p.die, u.freq_ghz);
+      const BasicMemoryService<V> m =
+          service_memory(demand * share, cap_d, slice.mem_bound_frac);
+      u.served_ghz = u.freq_ghz;
+      u.delivered_mbps = m.delivered;
+      u.stretch = m.stretch;
+      u.power_w = uncore_power(u, p.die, m.utilization);
+      stretch = vmax(stretch, m.stretch);
+    }
+    V dram_total = zero;
+    for (int s = 0; s < p.sockets; ++s) {
+      V uncore_w = zero;
+      V socket_delivered = zero;
+      for (int k = 0; k < dies; ++k) {
+        const BasicUncoreState<V>& u = lane.uncore(s * dies + k);
+        uncore_w += u.power_w;
+        socket_delivered += u.delivered_mbps;
+      }
+      const V bw_frac = p.uncore.peak_mem_bw_mbps > 0.0
+                            ? vclamp(socket_delivered / p.uncore.peak_mem_bw_mbps, zero, one)
+                            : zero;
+      const V dram_w = p.dram_idle_w + p.dram_dyn_w * bw_frac;
+      lane.socket_service(s) = {uncore_w, dram_w};
+      dram_total += dram_w;
+    }
+    memoize_service(lane.service(), slice, zero, stretch, dram_total);
   }
 
-  // 3. Core + GPU see the worst domain's stretch (the critical path).
-  const V ipc_eff = kBaseIpc / stretch;
-  core_tick(lane.core(), p.core, dt, slice.cpu_util, ipc_eff);
-  gpu_tick(lane.gpu(), p.gpu, dt, slice.gpu_util / stretch);
-
-  // 4. The tick's one jitter factor, applied to every domain's delivered
-  //    traffic.
+  // 3. The tick's one jitter factor, applied to every domain's delivered
+  //    traffic, and the per-domain accumulators.
   V delivered_noisy = zero;
   for (int d = 0; d < domains; ++d) {
-    const V noisy_d = vmax(zero, delivered_d[d] * jitter);
+    const BasicUncoreState<V>& u = lane.uncore(d);
+    const V noisy_d = vmax(zero, u.delivered_mbps * jitter);
     lane.domain_traffic_mb(d) += noisy_d * dt;
-    lane.domain_stretch_time(d) += stretch_d[d] * dt;
+    lane.domain_stretch_time(d) += u.stretch * dt;
+    lane.domain_uncore_energy(d) += u.power_w * dt;
     delivered_noisy += noisy_d;
   }
   lane.traffic_mb() += delivered_noisy * dt;
-
-  // 5. Power + energy: socket uncore power is the sum of its dies.
-  V pkg_total = zero;
-  V dram_total = zero;
-  for (int s = 0; s < p.sockets; ++s) {
-    const V core_w = core_power_w(lane.core(), p.core, slice.cpu_util);
-    V uncore_w = zero;
-    V socket_delivered = zero;
-    for (int k = 0; k < dies; ++k) {
-      const int d = s * dies + k;
-      const V die_w = uncore_power(lane.uncore(d), p.die, util_d[d]);
-      lane.domain_uncore_energy(d) += die_w * dt;
-      uncore_w += die_w;
-      socket_delivered += delivered_d[d];
-    }
-    const V bw_frac = p.uncore.peak_mem_bw_mbps > 0.0
-                          ? vclamp(socket_delivered / p.uncore.peak_mem_bw_mbps, zero, one)
-                          : zero;
-    const V monitor_w = (s == 0) ? monitor_extra_w : zero;
-    const V pkg_w = core_w + uncore_w + monitor_w;
-    const V dram_w = p.dram_idle_w + p.dram_dyn_w * bw_frac;
-    lane.pkg_energy(s) += pkg_w * dt;
-    lane.dram_energy(s) += dram_w * dt;
-    lane.last_pkg_w(s) = pkg_w;
-    pkg_total += pkg_w;
-    dram_total += dram_w;
-  }
-
-  BasicTickOutput<V> out;
-  out.progress_rate = 1.0 / stretch;
-  out.delivered_mbps = delivered_noisy;
-  out.pkg_power_w = pkg_total;
-  out.dram_power_w = dram_total;
-  out.gpu_power_w = lane.gpu().power_w;
-  out.uncore_freq_ghz = lane.uncore(0).freq_ghz;
-  out.stretch = stretch;
-  return out;
+  return finish_tick(lane, p, dt, slice.cpu_util, monitor_extra_w, delivered_noisy);
 }
 // magus:hot-path-end
 

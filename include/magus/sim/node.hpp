@@ -63,7 +63,9 @@ class LaneStore {
   [[nodiscard]] common::Rng& noise_rng(std::size_t lane) { return rng_[lane]; }
 
   /// Copy `lane`'s tick state into slot `slot` of `pair`, or back. The pair
-  /// must have been built for the lane's NodeParams.
+  /// must have been built for the lane's NodeParams. The memory-service memo
+  /// stays behind: each side's memo holds values that are pure functions of
+  /// its own key, so either side may go on with it.
   void load(LanePair& pair, int slot, std::size_t lane) const;
   void save(const LanePair& pair, int slot, std::size_t lane);
 
@@ -83,6 +85,8 @@ class LaneStore {
   [[nodiscard]] const kern::UncoreState& uncore(std::size_t lane, int domain) const {
     return uncore_[lanes_[lane].domain_base + static_cast<std::size_t>(domain)];
   }
+  /// The lane's memory-service memo (see kern::BasicServiceMemo).
+  [[nodiscard]] kern::ServiceMemo& service(std::size_t lane) { return service_[lane]; }
   [[nodiscard]] const kern::CoreState& core(std::size_t lane) const { return core_[lane]; }
   [[nodiscard]] const kern::GpuState& gpu(std::size_t lane) const { return gpu_[lane]; }
   /// Last value written to MSR 0x620 on `socket` (power-on: the full ladder).
@@ -113,6 +117,10 @@ class LaneStore {
   /// The socket's firmware governor state (cap, dwell, ladder memo).
   [[nodiscard]] const kern::FirmwareState& firmware(std::size_t lane, int socket) const {
     return firmware_[socket_slot(lane, socket)];
+  }
+  /// The socket's part of the memory-service memo.
+  [[nodiscard]] const kern::SocketService& socket_service(std::size_t lane, int socket) const {
+    return socket_service_[socket_slot(lane, socket)];
   }
   /// Package power of the socket's last tick, the firmware's next input.
   [[nodiscard]] double last_pkg_w(std::size_t lane, int socket) const {
@@ -146,6 +154,10 @@ class LaneStore {
     }
     [[nodiscard]] kern::CoreState& core() const { return s.core_[lane]; }
     [[nodiscard]] kern::GpuState& gpu() const { return s.gpu_[lane]; }
+    [[nodiscard]] kern::ServiceMemo& service() const { return s.service_[lane]; }
+    [[nodiscard]] kern::SocketService& socket_service(int k) const {
+      return s.socket_service_[base + static_cast<std::size_t>(k)];
+    }
     [[nodiscard]] double& pkg_energy(int k) const {
       return s.pkg_energy_j_[base + static_cast<std::size_t>(k)];
     }
@@ -186,6 +198,7 @@ class LaneStore {
   std::vector<double> dram_energy_j_;
   std::vector<double> last_pkg_w_;
   std::vector<std::uint64_t> raw_0x620_;
+  std::vector<kern::SocketService> socket_service_;
   // Per-domain (one entry per socket on single-die parts).
   std::vector<kern::UncoreState> uncore_;
   std::vector<double> domain_traffic_mb_;
@@ -194,6 +207,7 @@ class LaneStore {
   // Per-lane.
   std::vector<kern::CoreState> core_;
   std::vector<kern::GpuState> gpu_;
+  std::vector<kern::ServiceMemo> service_;
   std::vector<double> traffic_mb_;
   std::vector<common::Rng> rng_;
 };
@@ -224,6 +238,10 @@ class LanePair {
   }
   [[nodiscard]] kern::BasicCoreState<Pack2>& core() { return core_; }
   [[nodiscard]] kern::BasicGpuState<Pack2>& gpu() { return gpu_; }
+  [[nodiscard]] kern::BasicServiceMemo<Pack2>& service() { return service_; }
+  [[nodiscard]] kern::BasicSocketService<Pack2>& socket_service(int s) {
+    return socket_service_[index(s)];
+  }
   [[nodiscard]] Pack2& pkg_energy(int s) { return pkg_energy_[index(s)]; }
   [[nodiscard]] Pack2& dram_energy(int s) { return dram_energy_[index(s)]; }
   [[nodiscard]] Pack2& last_pkg_w(int s) { return last_pkg_w_[index(s)]; }
@@ -244,6 +262,7 @@ class LanePair {
   std::vector<Pack2> pkg_energy_;
   std::vector<Pack2> dram_energy_;
   std::vector<Pack2> last_pkg_w_;
+  std::vector<kern::BasicSocketService<Pack2>> socket_service_;
   // Per-domain.
   std::vector<kern::BasicUncoreState<Pack2>> uncore_;
   std::vector<Pack2> domain_traffic_mb_;
@@ -252,6 +271,7 @@ class LanePair {
   // Per-lane.
   kern::BasicCoreState<Pack2> core_;
   kern::BasicGpuState<Pack2> gpu_;
+  kern::BasicServiceMemo<Pack2> service_;
   Pack2 traffic_mb_{};
 };
 

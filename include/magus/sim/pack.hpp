@@ -18,10 +18,15 @@
 //   any(m)             true when any slot's mask is set
 //   slot / set_slot    read / write one slot (a Pack2 element is not
 //                      addressable, so there is no reference form)
+//   bits_xor(a, b)     the slots' IEEE-754 bit patterns XORed: nonzero in
+//                      a slot exactly where a and b differ bit for bit
+//   any_bits(b)        true when any slot of a bits_xor result is nonzero
 //
 // Arithmetic (+ - * /) and comparisons are the built-in operators on both
 // widths; a double operand next to a Pack2 is broadcast to both slots.
 
+#include <bit>
+#include <cstdint>
 #include <type_traits>
 
 namespace magus::sim::kern {
@@ -36,6 +41,10 @@ using MaskOf = decltype(V{} < V{});
 /// Lanes carried by one V.
 template <class V>
 inline constexpr int kSlots = static_cast<int>(sizeof(V) / sizeof(double));
+
+/// V's IEEE-754 bit patterns, one 64-bit integer per slot.
+template <class V>
+using BitsOf = std::conditional_t<std::is_same_v<V, double>, std::uint64_t, MaskOf<V>>;
 
 // magus:hot-path-begin
 /// `x` in every slot.
@@ -122,6 +131,20 @@ template <class V>
 template <class V>
 [[nodiscard]] inline V vclamp(V v, V lo, V hi) noexcept {
   return vmin(vmax(v, lo), hi);
+}
+
+template <class V>
+[[nodiscard]] inline BitsOf<V> bits_xor(V a, V b) noexcept {
+  return std::bit_cast<BitsOf<V>>(a) ^ std::bit_cast<BitsOf<V>>(b);
+}
+
+template <class B>
+[[nodiscard]] inline bool any_bits(B b) noexcept {
+  if constexpr (std::is_same_v<B, std::uint64_t>) {
+    return b != 0;
+  } else {
+    return (b[0] | b[1]) != 0;
+  }
 }
 // magus:hot-path-end
 

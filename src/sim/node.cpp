@@ -37,6 +37,7 @@ std::size_t LaneStore::add_lane(const SystemSpec& spec, std::uint64_t noise_seed
     dram_energy_j_.push_back(0.0);
     last_pkg_w_.push_back(0.0);
     raw_0x620_.push_back(limit.encode());
+    socket_service_.emplace_back();
   }
   for (int d = 0; d < p.domains(); ++d) {
     uncore_.push_back(kern::init_uncore(p.ladder));
@@ -46,6 +47,7 @@ std::size_t LaneStore::add_lane(const SystemSpec& spec, std::uint64_t noise_seed
   }
   core_.push_back(kern::init_core(p.core));
   gpu_.push_back(kern::init_gpu(p.gpu));
+  service_.emplace_back();
   traffic_mb_.push_back(0.0);
   rng_.emplace_back(noise_seed);
   lanes_.push_back(std::move(info));
@@ -78,6 +80,7 @@ struct FromSlot {
 
 // Every tick-state field of each kernel struct, listed once for both
 // directions (P is the Pack2 form, S the double form, either side const).
+// The memory-service memo's fields are left out (see LaneStore::load).
 template <class P, class S, class Op>
 void memo_fields(P& p, S& s, Op op) {
   op(p.arg, s.arg);
@@ -119,6 +122,7 @@ LanePair::LanePair(const kern::NodeParams& params)
       pkg_energy_(index(params.sockets)),
       dram_energy_(index(params.sockets)),
       last_pkg_w_(index(params.sockets)),
+      socket_service_(index(params.sockets)),
       uncore_(index(params.domains())),
       domain_traffic_mb_(index(params.domains())),
       domain_uncore_energy_(index(params.domains())),
