@@ -3,8 +3,8 @@
 //
 // Advances many independent lanes (one lane = one simulated node run) held
 // in one LaneStore -- the struct-of-arrays node storage NodeModel also uses,
-// one flat vector per quantity -- with the cold per-lane bookkeeping (phase
-// programs, policy hooks, results) parked in a deque off the tick path. The
+// one flat vector per quantity -- with each lane's run (sim::LaneRun: phase
+// program, clock, policy hook, result) parked in a deque off the store. The
 // store is the shard's arena: it is allocated once while lanes are added and
 // never grown by the tick loop, which performs no heap allocation and no
 // virtual dispatch (policy callbacks run only at sample boundaries, every
@@ -26,7 +26,8 @@
 // NodeParams pair up and tick together through the two-wide kernel
 // (sim::LanePair, slot k = lane k, on its own seed's draw); the two lanes
 // left out of a two-group cohort pair across seeds; any other leftover lane
-// ticks at width 1 on the store. A pair's state goes back to the store
+// ticks at width 1 on the store, through LaneRun::step, the step SimEngine
+// runs its one lane through. A pair's state goes back to the store
 // whenever a hook or backend can see it (at each of a slot's sample
 // boundaries and when it finishes), and a slot that finishes or fails leaves
 // its partner to go on at width 1. Slot k of the two-wide tick is
@@ -34,18 +35,18 @@
 // capped at two groups so that one sweep's working set stays a few lanes:
 // sweeping a whole shard as one loop was measured slower.
 //
-// Per lane, the loop is SimEngine::run's without trace recording, over the
-// same kernel, backends and sample-boundary charge, so a lane's result is
+// Per lane, the run is SimEngine::run's without trace recording -- the same
+// LaneRun control over the same kernel and backends -- so a lane's result is
 // bit-identical to SimEngine::run on the same (system, program, config,
-// hook). The fleet rollup goldens in tests/fleet/golden/ pin the batched
-// output byte for byte.
+// hook) whether it ticks alone or in a pair. The fleet rollup goldens in
+// tests/fleet/golden/ pin the batched output byte for byte.
 //
 // Scope: lanes never record traces (EngineConfig::record_traces must be
-// false). A lane with attach_telemetry counts its finished run into the
-// engine series the way SimEngine::run does (EngineTelemetry), without the
-// live per-sample sim-time gauge. Policy-level telemetry
-// (PolicyContext::metrics/events) works unchanged, except that the
-// callbacks of one cohort's lanes interleave in tick order.
+// false). A lane with attach_telemetry counts into the engine series the way
+// SimEngine::run does (EngineTelemetry, and the live sim-time gauge at each
+// sample boundary). Policy-level telemetry (PolicyContext::metrics/events)
+// works unchanged, except that the callbacks of one cohort's lanes
+// interleave in tick order.
 
 #include <cstddef>
 #include <deque>
@@ -59,7 +60,6 @@
 #include "magus/sim/backends.hpp"
 #include "magus/sim/engine.hpp"
 #include "magus/sim/node.hpp"
-#include "magus/sim/program_executor.hpp"
 #include "magus/sim/system_preset.hpp"
 #include "magus/wl/phase.hpp"
 
@@ -96,22 +96,22 @@ class BatchEngine {
 
   /// lane_error of a lane whose policy threw something other than a
   /// std::exception.
-  static constexpr const char* kNonStandardError = "policy threw a non-standard exception";
+  static constexpr const char* kNonStandardError = LaneRun::kNonStandardError;
 
   [[nodiscard]] std::size_t lane_count() const noexcept { return lanes_.size(); }
-  [[nodiscard]] bool lane_failed(std::size_t lane) const { return lanes_[lane].failed; }
+  [[nodiscard]] bool lane_failed(std::size_t lane) const { return lanes_[lane].run.failed; }
   [[nodiscard]] const std::string& lane_error(std::size_t lane) const {
-    return lanes_[lane].error;
+    return lanes_[lane].run.error;
   }
   /// The exception a failed lane's policy threw, type intact, for callers
   /// that rethrow it (null unless lane_failed). lane_error is its what(),
   /// or kNonStandardError when it is not a std::exception.
   [[nodiscard]] std::exception_ptr lane_exception(std::size_t lane) const {
-    return lanes_[lane].exception;
+    return lanes_[lane].run.exception;
   }
   /// Result for a successfully finished lane (unspecified if lane_failed).
   [[nodiscard]] const SimResult& result(std::size_t lane) const {
-    return lanes_[lane].result;
+    return lanes_[lane].run.result;
   }
   /// Simulation steps executed across all finished lanes.
   [[nodiscard]] unsigned long long total_ticks() const noexcept { return total_ticks_; }
@@ -126,33 +126,18 @@ class BatchEngine {
   }
 
  private:
-  /// Cold per-lane bookkeeping, off the tick path. Lives in a deque so
-  /// addresses stay stable while lanes are added (policy lambdas point into
-  /// the backends).
+  /// A lane's run plus where it sits: its store index, its backends, and
+  /// the draw of its cohort it ticks on. Lives in a deque so addresses stay
+  /// stable while lanes are added (policy lambdas point into the backends).
   struct Lane {
-    Lane(LaneStore& store, std::size_t lane_index, const CpuSpec& cpu_spec,
-         wl::PhaseProgram prog, const EngineConfig& config)
-        : index(lane_index),
-          cpu(cpu_spec),
-          program(std::move(prog)),
-          cfg(config),
-          hw(store, lane_index),
-          executor(program) {}
+    Lane(LaneStore& store, std::size_t lane_index, const CpuSpec& cpu,
+         wl::PhaseProgram program, const EngineConfig& cfg)
+        : index(lane_index), run(cpu, std::move(program), cfg), hw(store, lane_index) {}
 
     std::size_t index;  ///< the lane's index in the store
-    CpuSpec cpu;        ///< invocation-cost coefficients
-    wl::PhaseProgram program;
-    EngineConfig cfg;
+    int draw = 0;       ///< which per-seed draw of its cohort it ticks on (0 or 1)
+    LaneRun run;
     LaneBackends hw;
-    PolicyHook hook;
-    ProgramExecutor executor;  ///< walks `program` (deque: its address is stable)
-    RunClock clock;
-    EngineTelemetry telemetry;
-    int draw = 0;  ///< which per-seed draw of its cohort it ticks on (0 or 1)
-    bool failed = false;
-    std::string error;
-    std::exception_ptr exception;
-    SimResult result;
   };
 
   /// Two lanes ticking as one pack.
@@ -181,9 +166,6 @@ class BatchEngine {
   // are std::function and opaque to the analysis; they manage their own hot
   // sections.)
 
-  /// Call the lane's on_start. False when the lane is not running after it
-  /// (its policy threw, or its run is already over).
-  bool start(Lane& lane) MAGUS_LOCK_FREE;
   /// Tick a cohort's lanes in lockstep to their ends.
   void sweep(const Cohort& cohort) MAGUS_LOCK_FREE;
   /// Load two lanes into a new pair of the sweep. (Not MAGUS_LOCK_FREE:
@@ -197,29 +179,6 @@ class BatchEngine {
   /// step_pair's rare half: slot sample boundaries, finished slots, phase
   /// changes.
   bool pair_events(Pair& pair, const bool moved[2]) MAGUS_LOCK_FREE;
-  /// Tick a lane once at width 1 on `jitter`. False once its run is over.
-  bool step_single(Lane& lane, double jitter) MAGUS_LOCK_FREE;
-  /// Run the lane's sample boundary. False when its policy threw.
-  bool sample(Lane& lane) MAGUS_LOCK_FREE;
-  /// Fill the lane's result from the store once its run is over.
-  void finish(Lane& lane) MAGUS_LOCK_FREE;
-  /// Record the exception being handled as the lane's failure.
-  static void fail(Lane& lane, const char* what);
-  /// Advance the lane's program and clock past one tick at progress rate
-  /// `rate`; true when that moved its program past a phase.
-  static bool advance(Lane& lane, double rate) {
-    const bool moved = lane.executor.advance(lane.cfg.tick_s * rate);
-    ++lane.clock.ticks;
-    lane.clock.t += lane.cfg.tick_s;
-    return moved;
-  }
-  /// True once the lane's program is done or its safety cap is hit.
-  [[nodiscard]] static bool over(const Lane& lane) {
-    return lane.executor.done() || lane.clock.t >= lane.clock.max_sim;
-  }
-  [[nodiscard]] static bool sample_due(const Lane& lane) {
-    return lane.clock.t >= lane.clock.next_sample_t;
-  }
 
   LaneStore store_;
   std::deque<Lane> lanes_;

@@ -6,17 +6,22 @@
 // snapshots the lane's AccessMeter around each policy callback and charges
 // per-read latency plus active monitor power for the duration -- the
 // mechanism that makes Table 2's MAGUS/UPS overhead gap fall out of the
-// number of counters each method reads. BatchEngine (sim/batch_engine.hpp)
-// runs the same loop over many lanes; the two share the node storage, the
-// backends, and the sample-boundary charge below, and differ only in what
-// SimEngine adds on top: trace recording and engine telemetry.
+// number of counters each method reads. A lane's run and its control live
+// in one type, LaneRun: SimEngine steps one at width 1 on its node with the
+// trace recorder as observer; BatchEngine (sim/batch_engine.hpp) holds one
+// per lane and steps its unpaired lanes through the same width-1 step. What
+// SimEngine adds on top is trace recording.
 
+#include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "magus/common/quantity.hpp"
+#include "magus/common/thread_annotations.hpp"
 #include "magus/sim/backends.hpp"
 #include "magus/sim/node.hpp"
 #include "magus/sim/program_executor.hpp"
@@ -111,11 +116,32 @@ struct EngineTelemetry {
   /// Count one finished run: its ticks, its policy invocations, the run
   /// itself, and its final simulated time. Both engines call this once per
   /// run that reaches its end; a run whose policy threw is not counted.
+  /// (The gauge also follows each sample boundary live, LaneRun::sample.)
   void run_finished(const SimResult& result) const noexcept;
 };
 
-/// Loop state a run carries between ticks.
-struct RunClock {
+/// One lane's run -- its program walk, clock, policy hook and outcome -- and
+/// the per-lane control both engines share. `start`, then `step` until one
+/// returns false: the lane finished (`result` filled) or its policy threw
+/// (`failed`; `exception` keeps the throw, type intact). No policy exception
+/// escapes. SimEngine steps one on its node; BatchEngine holds one per lane,
+/// and its lockstep pairs tick through the two-wide kernel and then use
+/// `advance` and the boundary members below.
+struct LaneRun {
+  /// `error` of a lane whose policy threw something other than a
+  /// std::exception.
+  static constexpr const char* kNonStandardError = "policy threw a non-standard exception";
+
+  LaneRun(const CpuSpec& cpu_spec, wl::PhaseProgram prog, const EngineConfig& config)
+      : program(std::move(prog)), cfg(config), executor(program), cpu(cpu_spec) {}
+  // `executor` points into `program`; pin the address.
+  LaneRun(const LaneRun&) = delete;
+  LaneRun& operator=(const LaneRun&) = delete;
+
+  wl::PhaseProgram program;
+  EngineConfig cfg;
+  ProgramExecutor executor;  ///< walks `program`
+
   double t = 0.0;
   double max_sim = 0.0;          ///< safety cap on simulated time
   double next_sample_t = 0.0;    ///< infinity when the hook has no on_sample
@@ -123,60 +149,71 @@ struct RunClock {
   double monitor_power_w = 0.0;  ///< charged to socket 0 while busy
   unsigned long long ticks = 0;
 
-  RunClock() = default;
-  /// Clock at t = 0 for `program` under `cfg` and `hook`.
-  RunClock(const EngineConfig& cfg, const wl::PhaseProgram& program, const PolicyHook& hook);
+  /// Invocation-cost coefficients.
+  CpuSpec cpu;
+  PolicyHook hook;
+  EngineTelemetry telemetry;  ///< all null unless attached
 
+  bool failed = false;
+  std::string error;  ///< what() of the throw, or kNonStandardError
+  std::exception_ptr exception;
+  SimResult result;
+
+  /// Arm the clock (safety cap, first sample) and call hook.on_start. False
+  /// when the lane is not running after it (its policy threw, or its run is
+  /// already over).
+  bool start(const LaneStore& store, std::size_t lane) MAGUS_LOCK_FREE;
+
+  /// Tick the lane once on `jitter`, the tick's draw from its seed's noise
+  /// stream. `observe(t, slice, out)` sees the tick before the clock moves
+  /// past it; SimEngine records traces there, BatchEngine passes a no-op.
+  /// False once the run is over.
+  template <class F>
+  bool step(LaneStore& store, std::size_t lane, double jitter, F&& observe) MAGUS_LOCK_FREE {
+    // magus:hot-path-begin
+    const WorkSlice slice = executor.slice();
+    const TickOutput out = store.tick(lane, cfg.tick_s, slice, extra_w(), jitter);
+    observe(t, slice, out);
+    advance(out.progress_rate);
+    if (sample_due() && !sample(store, lane)) return false;
+    if (!over()) return true;
+    finish(store, lane);
+    return false;
+    // magus:hot-path-end
+  }
+
+  /// Sample boundary: invoke hook.on_sample at `t`, then charge the accesses
+  /// it made through the lane's backends (its AccessMeter delta) as latency
+  /// and monitor power, and schedule the next sample `period` after the
+  /// invocation returns (paper section 6.5: 0.1 s invocation + 0.2 s period
+  /// = 0.3 s cadence); the live magus_sim_time_seconds gauge reads `t`.
+  /// False, with nothing charged, when the policy threw.
+  bool sample(const LaneStore& store, std::size_t lane) MAGUS_LOCK_FREE;
+
+  /// Fill `result` from the lane's state at the end of the run.
+  void finish(const LaneStore& store, std::size_t lane) MAGUS_LOCK_FREE;
+
+  /// Advance the program and clock past one tick at progress rate `rate`;
+  /// true when that moved the program past a phase.
+  bool advance(double rate) {
+    const bool moved = executor.advance(cfg.tick_s * rate);
+    ++ticks;
+    t += cfg.tick_s;
+    return moved;
+  }
+  /// True once the program is done or the safety cap is hit.
+  [[nodiscard]] bool over() const { return executor.done() || t >= max_sim; }
+  [[nodiscard]] bool sample_due() const { return t >= next_sample_t; }
   /// Monitor power drawn during the tick that starts at t.
   [[nodiscard]] double extra_w() const noexcept {
     return t < monitor_busy_until ? monitor_power_w : 0.0;
   }
+
+ private:
+  /// Call a hook callback at `t`. False, with the throw recorded as the
+  /// lane's failure, when it threw.
+  bool call(const std::function<void(common::Seconds)>& callback);
 };
-
-/// Why run_to_boundary returned.
-enum class Stop {
-  kSample,    ///< at the lane's next sample boundary
-  kFinished,  ///< program done or safety cap hit
-};
-
-/// SimEngine's tick loop: advance `lane` tick by tick until its next sample
-/// boundary or the end of its run, each tick's jitter drawn from the lane's
-/// own noise stream. `observe(t, slice, out)` sees each tick before the clock
-/// moves past it; SimEngine records traces there. BatchEngine runs the same
-/// per-tick steps over a cohort of seed groups in lockstep
-/// (sim/batch_engine.hpp).
-template <class Observe>
-Stop run_to_boundary(LaneStore& store, std::size_t lane, ProgramExecutor& exec, double dt,
-                     RunClock& clock, Observe&& observe) {
-  // magus:hot-path-begin
-  common::Rng& noise = store.noise_rng(lane);
-  for (;;) {
-    if (exec.done() || clock.t >= clock.max_sim) return Stop::kFinished;
-    const WorkSlice slice = exec.slice();
-    const TickOutput out =
-        store.tick(lane, dt, slice, clock.extra_w(), noise.jitter(kern::kTrafficNoiseRel));
-    exec.advance(dt * out.progress_rate);
-    ++clock.ticks;
-    observe(clock.t, slice, out);
-    clock.t += dt;
-    if (clock.t >= clock.next_sample_t) return Stop::kSample;
-  }
-  // magus:hot-path-end
-}
-
-/// Sample boundary: invoke `hook.on_sample` at `clock.t`, then charge the
-/// accesses it made through the lane's backends (the `meter` delta) as
-/// latency and monitor power, and schedule the next sample `period` after
-/// the invocation returns (paper section 6.5: 0.1 s invocation + 0.2 s
-/// period = 0.3 s cadence). A throwing callback propagates with nothing
-/// charged.
-void sample_boundary(const PolicyHook& hook, const CpuSpec& cpu, const AccessMeter& meter,
-                     RunClock& clock, SimResult& result);
-
-/// Fill `result` from lane state at the end of a run: completion, duration,
-/// ticks, energies, average powers, accesses, and the per-domain vectors.
-void collect_result(const LaneStore& store, std::size_t lane, const RunClock& clock,
-                    bool completed, SimResult& result);
 
 class SimEngine {
  public:
@@ -185,11 +222,12 @@ class SimEngine {
   SimEngine(const SimEngine&) = delete;
   SimEngine& operator=(const SimEngine&) = delete;
 
-  /// Run to completion (or the safety cap) under `policy`.
+  /// Run to completion (or the safety cap) under `policy`. Each run goes on
+  /// from the node's state and noise stream where the last one left them. A
+  /// throw from a policy callback leaves run() as it was thrown.
   SimResult run(const PolicyHook& policy = {});
 
-  /// Report into the engine series on `reg` (EngineTelemetry), plus a live
-  /// magus_sim_time_seconds at every sample boundary. Results stay
+  /// Report into the engine series on `reg` (EngineTelemetry). Results stay
   /// bit-identical with or without telemetry. The registry must outlive the
   /// engine.
   void attach_telemetry(telemetry::MetricsRegistry& reg);

@@ -4,7 +4,8 @@
 // One copy of the per-tick arithmetic, written against plain-old-data state
 // structs and a `Lane` accessor concept, and templated on the lane value
 // type V (sim/pack.hpp): `double` ticks one lane -- the LaneStore view that
-// NodeModel/SimEngine and BatchEngine's leftover lanes tick -- and
+// NodeModel and LaneRun::step tick (SimEngine's lane, BatchEngine's
+// leftover lanes) -- and
 // `kern::Pack2` ticks two lanes at once in the two slots of one SSE2
 // register (BatchEngine's lockstep pairs, sim::LanePair). Slot k of a Pack2
 // tick runs exactly the IEEE-754 operation sequence a double tick runs on

@@ -42,14 +42,15 @@ class LaneStore {
   /// common::ConfigError for an invalid domain layout (dies_per_socket < 1,
   /// numa_skew outside [0, 1), more than kern::kMaxDomains domains). Any
   /// reference into the store is invalidated.
-  std::size_t add_lane(const SystemSpec& spec, std::uint64_t noise_seed);
+  std::size_t add_lane(const SystemSpec& spec);
 
   [[nodiscard]] std::size_t lane_count() const noexcept { return lanes_.size(); }
 
   /// Advance `lane` by dt under `slice`; `monitor_extra_w` is the power of an
   /// actively executing monitoring runtime (lands on socket 0), and `jitter`
-  /// is the tick's draw from the lane's noise stream (or from a stream equal
-  /// to it). Inline so the engines' tick loops compile the kernel in place.
+  /// is the tick's draw from the lane's noise stream (a common::Rng on the
+  /// lane's seed, held by what drives the lane: NodeModel or BatchEngine's
+  /// sweep). Inline so the engines' tick loops compile the kernel in place.
   // magus:hot-path-begin
   TickOutput tick(std::size_t lane, double dt, const WorkSlice& slice, double monitor_extra_w,
                   double jitter) {
@@ -58,9 +59,6 @@ class LaneStore {
     return kern::node_tick(view, info.params, dt, slice, monitor_extra_w, jitter);
   }
   // magus:hot-path-end
-
-  /// The lane's noise stream, seeded with add_lane's `noise_seed`.
-  [[nodiscard]] common::Rng& noise_rng(std::size_t lane) { return rng_[lane]; }
 
   /// Copy `lane`'s tick state into slot `slot` of `pair`, or back. The pair
   /// must have been built for the lane's NodeParams. The memory-service memo
@@ -209,7 +207,6 @@ class LaneStore {
   std::vector<kern::GpuState> gpu_;
   std::vector<kern::ServiceMemo> service_;
   std::vector<double> traffic_mb_;
-  std::vector<common::Rng> rng_;
 };
 
 /// Two lanes' tick state, slot k of every kern::Pack2 holding lane k's
@@ -275,10 +272,15 @@ class LanePair {
   Pack2 traffic_mb_{};
 };
 
-/// One simulated node: a single-lane LaneStore plus its last tick output.
+/// One simulated node: a single-lane LaneStore, its noise stream, and its
+/// last tick output.
 class NodeModel {
  public:
   NodeModel(const SystemSpec& spec, std::uint64_t noise_seed);
+
+  /// The node's noise stream, seeded with `noise_seed`: each tick's jitter,
+  /// in NodeModel::tick and in SimEngine::run, is its next draw.
+  [[nodiscard]] common::Rng& noise() noexcept { return rng_; }
 
   /// Advance the node by dt under `slice`; `monitor_extra_w` is the power of
   /// an actively executing monitoring runtime (lands on socket 0).
@@ -317,6 +319,7 @@ class NodeModel {
 
  private:
   LaneStore store_;
+  common::Rng rng_;
   TickOutput last_;
 };
 

@@ -1,8 +1,8 @@
 #pragma once
 // ProgramExecutor: walks a PhaseProgram in "phase seconds". Progress advances
 // at the node's progress rate, so memory starvation stretches wall-clock
-// automatically. Each engine walks a lane's program through one: SimEngine's
-// tick loop (sim::run_to_boundary) and BatchEngine's cohort sweep.
+// automatically. Each lane's run (sim::LaneRun) walks its program through
+// one, in SimEngine and in BatchEngine alike.
 
 #include <cstddef>
 

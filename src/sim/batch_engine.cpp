@@ -1,7 +1,6 @@
 #include "magus/sim/batch_engine.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <numeric>
 #include <span>
 #include <utility>
@@ -21,42 +20,23 @@ std::size_t BatchEngine::add_lane(const SystemSpec& system, wl::PhaseProgram pro
         "BatchEngine: trace recording is a per-node concern (use SimEngine)");
   }
 
-  const std::size_t index = store_.add_lane(system, cfg.seed);
+  const std::size_t index = store_.add_lane(system);
   lanes_.emplace_back(store_, index, system.cpu, std::move(program), cfg);
   return index;
 }
 
 void BatchEngine::set_hook(std::size_t lane, PolicyHook hook) {
-  lanes_[lane].hook = std::move(hook);
+  lanes_[lane].run.hook = std::move(hook);
 }
 
 void BatchEngine::attach_telemetry(std::size_t lane, telemetry::MetricsRegistry& reg) {
-  lanes_[lane].telemetry = EngineTelemetry(reg);
-}
-
-void BatchEngine::fail(Lane& lane, const char* what) {
-  lane.failed = true;
-  lane.error = what;
-  lane.exception = std::current_exception();
-}
-
-bool BatchEngine::sample(Lane& lane) {
-  try {
-    sample_boundary(lane.hook, lane.cpu, store_.meter(lane.index), lane.clock, lane.result);
-    return true;
-  } catch (const std::exception& e) {
-    fail(lane, e.what());
-  } catch (...) {
-    fail(lane, kNonStandardError);
-  }
-  return false;
-}
-
-void BatchEngine::finish(Lane& lane) {
-  collect_result(store_, lane.index, lane.clock, lane.executor.done(), lane.result);
+  lanes_[lane].run.telemetry = EngineTelemetry(reg);
 }
 
 namespace {
+
+/// LaneRun::step's observer for a lane that records nothing.
+constexpr auto kNoObserver = [](double, const WorkSlice&, const TickOutput&) {};
 
 /// Slot `k` of a packed slice.
 void set_slice_slot(BasicWorkSlice<kern::Pack2>& packed, int k, const WorkSlice& slice) {
@@ -67,23 +47,6 @@ void set_slice_slot(BasicWorkSlice<kern::Pack2>& packed, int k, const WorkSlice&
 }
 
 }  // namespace
-
-bool BatchEngine::start(Lane& lane) {
-  lane.result.policy_name = lane.hook.name;
-  lane.clock = RunClock(lane.cfg, lane.program, lane.hook);
-  try {
-    if (lane.hook.on_start) lane.hook.on_start(common::Seconds(0.0));
-  } catch (const std::exception& e) {
-    fail(lane, e.what());
-    return false;
-  } catch (...) {
-    fail(lane, kNonStandardError);
-    return false;
-  }
-  if (!over(lane)) return true;
-  finish(lane);
-  return false;
-}
 
 template <class OnPair, class OnSingle>
 void BatchEngine::pair_up(std::span<Lane* const> group, OnPair on_pair,
@@ -100,39 +63,27 @@ void BatchEngine::pair_up(std::span<Lane* const> group, OnPair on_pair,
 }
 
 void BatchEngine::add_pair(Lane& a, Lane& b) {
-  Pair& pair = pairs_.emplace_back(
-      Pair{LanePair(store_.params(a.index)), {&a, &b}, {a.cfg.tick_s, b.cfg.tick_s}, {}});
+  const kern::Pack2 dt{a.run.cfg.tick_s, b.run.cfg.tick_s};
+  Pair& pair = pairs_.emplace_back(Pair{LanePair(store_.params(a.index)), {&a, &b}, dt, {}});
   store_.load(pair.state, 0, a.index);
   store_.load(pair.state, 1, b.index);
-  set_slice_slot(pair.slice, 0, a.executor.slice());
-  set_slice_slot(pair.slice, 1, b.executor.slice());
-}
-
-bool BatchEngine::step_single(Lane& lane, double jitter) {
-  // magus:hot-path-begin
-  const TickOutput out = store_.tick(lane.index, lane.cfg.tick_s, lane.executor.slice(),
-                                     lane.clock.extra_w(), jitter);
-  advance(lane, out.progress_rate);
-  if (sample_due(lane) && !sample(lane)) return false;
-  if (!over(lane)) return true;
-  finish(lane);
-  return false;
-  // magus:hot-path-end
+  set_slice_slot(pair.slice, 0, a.run.executor.slice());
+  set_slice_slot(pair.slice, 1, b.run.executor.slice());
 }
 
 bool BatchEngine::step_pair(Pair& pair, const double draw[2]) {
   // magus:hot-path-begin
-  Lane& a = *pair.lane[0];
-  Lane& b = *pair.lane[1];
-  const kern::Pack2 extra_w{a.clock.extra_w(), b.clock.extra_w()};
-  const kern::Pack2 jitter{draw[a.draw], draw[b.draw]};
+  LaneRun& a = pair.lane[0]->run;
+  LaneRun& b = pair.lane[1]->run;
+  const kern::Pack2 extra_w{a.extra_w(), b.extra_w()};
+  const kern::Pack2 jitter{draw[pair.lane[0]->draw], draw[pair.lane[1]->draw]};
   const BasicTickOutput<kern::Pack2> out =
       pair.state.tick(pair.dt, pair.slice, extra_w, jitter);
-  const bool moved[2] = {advance(a, out.progress_rate[0]), advance(b, out.progress_rate[1])};
+  const bool moved[2] = {a.advance(out.progress_rate[0]), b.advance(out.progress_rate[1])};
   // A slot's program can only finish on a phase move, so without one the
   // safety cap and the sample boundary are all there is to check.
-  const auto quiet = [](const Lane& lane, bool phase_moved) {
-    return !phase_moved && !sample_due(lane) && lane.clock.t < lane.clock.max_sim;
+  const auto quiet = [](const LaneRun& run, bool phase_moved) {
+    return !phase_moved && !run.sample_due() && run.t < run.max_sim;
   };
   if (quiet(a, moved[0]) && quiet(b, moved[1])) return true;
   return pair_events(pair, moved);
@@ -143,24 +94,24 @@ bool BatchEngine::pair_events(Pair& pair, const bool moved[2]) {
   bool running[2] = {true, true};
   for (int k = 0; k < 2; ++k) {
     Lane& lane = *pair.lane[k];
-    if (sample_due(lane)) {
+    if (lane.run.sample_due()) {
       // The hook reads the lane through its backends and may program its
       // uncore limit: hand it the store, then take the store back.
       store_.save(pair.state, k, lane.index);
-      if (!sample(lane)) {
+      if (!lane.run.sample(store_, lane.index)) {
         running[k] = false;
         --live_[lane.draw];
         continue;
       }
       store_.load(pair.state, k, lane.index);
     }
-    if (over(lane)) {
+    if (lane.run.over()) {
       store_.save(pair.state, k, lane.index);
-      finish(lane);
+      lane.run.finish(store_, lane.index);
       running[k] = false;
       --live_[lane.draw];
     } else if (moved[k]) {
-      set_slice_slot(pair.slice, k, lane.executor.slice());
+      set_slice_slot(pair.slice, k, lane.run.executor.slice());
     }
   }
   if (running[0] && running[1]) return true;
@@ -195,8 +146,8 @@ void BatchEngine::sweep(const Cohort& cohort) {
   // lane a pair hands over this tick joins the singles from the next tick
   // on. Lanes are independent, so swap-removing finished ones reorders
   // nothing that matters.
-  common::Rng noise[2] = {common::Rng(cohort.group[0].front()->cfg.seed),
-                          common::Rng(cohort.group[groups - 1].front()->cfg.seed)};
+  common::Rng noise[2] = {common::Rng(cohort.group[0].front()->run.cfg.seed),
+                          common::Rng(cohort.group[groups - 1].front()->run.cfg.seed)};
   double draw[2] = {0.0, 0.0};
   unsigned long long pair_ticks = 0;
   unsigned long long single_ticks = 0;
@@ -209,7 +160,7 @@ void BatchEngine::sweep(const Cohort& cohort) {
     single_ticks += singles_.size();
     for (std::size_t i = 0; i < singles_.size();) {
       Lane& lane = *singles_[i];
-      if (step_single(lane, draw[lane.draw])) {
+      if (lane.run.step(store_, lane.index, draw[lane.draw], kNoObserver)) {
         ++i;
       } else {
         --live_[lane.draw];
@@ -240,14 +191,15 @@ void BatchEngine::run_all() {
   std::vector<std::size_t> order(lanes_.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return lanes_[a].cfg.seed < lanes_[b].cfg.seed;
+    return lanes_[a].run.cfg.seed < lanes_[b].run.cfg.seed;
   });
 
   std::vector<std::span<const std::size_t>> groups;
   std::size_t widest = 0;
   for (std::size_t begin = 0; begin < order.size();) {
     std::size_t end = begin + 1;
-    while (end < order.size() && lanes_[order[end]].cfg.seed == lanes_[order[begin]].cfg.seed) {
+    while (end < order.size() &&
+           lanes_[order[end]].run.cfg.seed == lanes_[order[begin]].run.cfg.seed) {
       ++end;
     }
     groups.push_back(std::span(order).subspan(begin, end - begin));
@@ -281,7 +233,7 @@ void BatchEngine::run_all() {
     for (const std::span<const std::size_t> group : groups) {
       const std::size_t begin = running.size();
       for (const std::size_t index : group) {
-        if (start(lanes_[index])) running.push_back(&lanes_[index]);
+        if (lanes_[index].run.start(store_, index)) running.push_back(&lanes_[index]);
       }
       const std::span<Lane* const> lanes = std::span<Lane* const>(running).subspan(begin);
       if (lanes.empty()) continue;
@@ -312,9 +264,9 @@ void BatchEngine::run_all() {
 
   // Count finished runs in lane order, as a lane-at-a-time engine would.
   for (const Lane& lane : lanes_) {
-    if (lane.failed) continue;
-    lane.telemetry.run_finished(lane.result);
-    total_ticks_ += lane.clock.ticks;
+    if (lane.run.failed) continue;
+    lane.run.telemetry.run_finished(lane.run.result);
+    total_ticks_ += lane.run.ticks;
   }
 }
 

@@ -1,8 +1,10 @@
 #include "magus/sim/engine.hpp"
 
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "magus/common/error.hpp"
 #include "magus/telemetry/registry.hpp"
@@ -28,15 +30,20 @@ void validate_engine_config(const EngineConfig& cfg, const char* engine) {
   require_step(cfg.record_dt_s, "record_dt_s");
 }
 
-RunClock::RunClock(const EngineConfig& cfg, const wl::PhaseProgram& program,
-                   const PolicyHook& hook)
-    : max_sim(cfg.max_sim_s > 0.0 ? cfg.max_sim_s : 4.0 * program.nominal_duration_s() + 30.0),
-      next_sample_t(hook.on_sample ? hook.period_s : kNever) {}
+bool LaneRun::start(const LaneStore& store, std::size_t lane) {
+  result.policy_name = hook.name;
+  max_sim = cfg.max_sim_s > 0.0 ? cfg.max_sim_s : 4.0 * program.nominal_duration_s() + 30.0;
+  next_sample_t = hook.on_sample ? hook.period_s : kNever;
+  if (hook.on_start && !call(hook.on_start)) return false;
+  if (!over()) return true;
+  finish(store, lane);
+  return false;
+}
 
-void sample_boundary(const PolicyHook& hook, const CpuSpec& cpu, const AccessMeter& meter,
-                     RunClock& clock, SimResult& result) {
+bool LaneRun::sample(const LaneStore& store, std::size_t lane) {
+  const AccessMeter& meter = store.meter(lane);
   const AccessMeter before = meter;
-  hook.on_sample(common::Seconds(clock.t));
+  if (!call(hook.on_sample)) return false;
   const auto msr_delta =
       (meter.msr_reads - before.msr_reads) + (meter.msr_writes - before.msr_writes);
   const auto pcm_delta = meter.pcm_reads - before.pcm_reads;
@@ -44,20 +51,20 @@ void sample_boundary(const PolicyHook& hook, const CpuSpec& cpu, const AccessMet
                       static_cast<double>(pcm_delta) * cpu.pcm_read_latency_s;
   const double equiv_reads = static_cast<double>(msr_delta) +
                              cpu.pcm_equivalent_reads * static_cast<double>(pcm_delta);
-  clock.monitor_power_w =
-      cpu.monitor_base_power_w + cpu.monitor_per_read_power_w * equiv_reads;
-  clock.monitor_busy_until = clock.t + cost;
+  monitor_power_w = cpu.monitor_base_power_w + cpu.monitor_per_read_power_w * equiv_reads;
+  monitor_busy_until = t + cost;
   ++result.invocations;
   result.total_invocation_s += cost;
-  clock.next_sample_t = clock.t + cost + hook.period_s;
+  next_sample_t = t + cost + hook.period_s;
+  // Live progress for a scraping exporter, keyed on sim time only.
+  telemetry::set(telemetry.sim_time, t);
+  return true;
 }
 
-void collect_result(const LaneStore& store, std::size_t lane, const RunClock& clock,
-                    bool completed, SimResult& result) {
-  const double t = clock.t;
-  result.completed = completed;
+void LaneRun::finish(const LaneStore& store, std::size_t lane) {
+  result.completed = executor.done();
   result.duration_s = t;
-  result.ticks = clock.ticks;
+  result.ticks = ticks;
   result.pkg_energy_j = store.total_pkg_energy_j(lane);
   result.dram_energy_j = store.total_dram_energy_j(lane);
   result.gpu_energy_j = store.gpu(lane).energy_j;
@@ -77,6 +84,21 @@ void collect_result(const LaneStore& store, std::size_t lane, const RunClock& cl
     result.domain_stretch_time_s[i] = store.domain_stretch_time_s(lane, d);
     result.domain_traffic_mb[i] = store.domain_traffic_mb(lane, d);
   }
+}
+
+bool LaneRun::call(const std::function<void(common::Seconds)>& callback) {
+  try {
+    callback(common::Seconds(t));
+    return true;
+  } catch (const std::exception& e) {
+    error = e.what();
+    exception = std::current_exception();
+  } catch (...) {
+    error = kNonStandardError;
+    exception = std::current_exception();
+  }
+  failed = true;
+  return false;
 }
 
 SimEngine::SimEngine(SystemSpec spec, wl::PhaseProgram program, EngineConfig cfg)
@@ -109,13 +131,12 @@ void SimEngine::attach_telemetry(telemetry::MetricsRegistry& reg) {
 }
 
 SimResult SimEngine::run(const PolicyHook& policy) {
-  SimResult result;
-  result.policy_name = policy.name;
-  ProgramExecutor executor(program_);
-  RunClock clock(cfg_, program_, policy);
+  LaneRun run(spec_.cpu, program_, cfg_);
+  run.hook = policy;
+  run.telemetry = telemetry_;
+  LaneStore& store = node_.store();
+  common::Rng& noise = node_.noise();
   const kern::CoreParams& core = node_.params().core;
-
-  if (policy.on_start) policy.on_start(common::Seconds(0.0));
 
   double next_record_t = cfg_.record_traces ? 0.0 : kNever;
   const auto record = [&](double t, const WorkSlice& slice, const TickOutput& out) {
@@ -136,16 +157,17 @@ SimResult SimEngine::run(const PolicyHook& policy) {
     }
     next_record_t = t + cfg_.record_dt_s;
   };
-  while (run_to_boundary(node_.store(), 0, executor, cfg_.tick_s, clock, record) ==
-         Stop::kSample) {
-    sample_boundary(policy, spec_.cpu, node_.store().meter(0), clock, result);
-    // Live progress for a scraping exporter, keyed on sim time only.
-    telemetry::set(telemetry_.sim_time, clock.t);
+  {
+    const common::HotPathSection hot_section;
+    bool running = run.start(store, 0);
+    while (running) {
+      running = run.step(store, 0, noise.jitter(kern::kTrafficNoiseRel), record);
+    }
   }
 
-  collect_result(node_.store(), 0, clock, executor.done(), result);
-  telemetry_.run_finished(result);
-  return result;
+  if (run.failed) std::rethrow_exception(run.exception);
+  telemetry_.run_finished(run.result);
+  return std::move(run.result);
 }
 
 }  // namespace magus::sim

@@ -8,7 +8,7 @@
 
 namespace magus::sim {
 
-std::size_t LaneStore::add_lane(const SystemSpec& spec, std::uint64_t noise_seed) {
+std::size_t LaneStore::add_lane(const SystemSpec& spec) {
   if (spec.cpu.dies_per_socket < 1) {
     throw common::ConfigError("LaneStore: dies_per_socket must be >= 1");
   }
@@ -49,7 +49,6 @@ std::size_t LaneStore::add_lane(const SystemSpec& spec, std::uint64_t noise_seed
   gpu_.push_back(kern::init_gpu(p.gpu));
   service_.emplace_back();
   traffic_mb_.push_back(0.0);
-  rng_.emplace_back(noise_seed);
   lanes_.push_back(std::move(info));
   return index;
 }
@@ -158,14 +157,14 @@ void LaneStore::save(const LanePair& pair, int slot, std::size_t lane) {
   transfer(*this, pair, lane, FromSlot{slot});
 }
 
-NodeModel::NodeModel(const SystemSpec& spec, std::uint64_t noise_seed) {
-  store_.add_lane(spec, noise_seed);
+NodeModel::NodeModel(const SystemSpec& spec, std::uint64_t noise_seed) : rng_(noise_seed) {
+  store_.add_lane(spec);
 }
 
 TickOutput NodeModel::tick(common::Seconds now, double dt, const WorkSlice& slice,
                            double monitor_extra_w) {
   (void)now;
-  const double jitter = store_.noise_rng(0).jitter(kern::kTrafficNoiseRel);
+  const double jitter = rng_.jitter(kern::kTrafficNoiseRel);
   last_ = store_.tick(0, dt, slice, monitor_extra_w, jitter);
   return last_;
 }

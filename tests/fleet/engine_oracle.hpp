@@ -1,11 +1,14 @@
 #pragma once
-// The engine oracle shared by the fleet oracle suites: SimEngine::run (one
-// lane, via exp::run_policy) and BatchEngine (a shard of lanes, via
-// exp::BatchRun) share one tick loop but are wired separately, so every job
-// of a manifest must come out of both bit for bit. Jobs are laid out the way
-// FleetRunner::run_shard lays out a shard -- each non-default job followed
-// by its fault-free default twin on the same seed -- so the batch side ticks
-// each job and its twin as one lockstep pair.
+// The engine oracle shared by the fleet oracle suites: it compares a lane run
+// alone with the same lane in a lockstep cohort. SimEngine::run (via
+// exp::run_policy) steps the lane's sim::LaneRun at width 1 on its own noise
+// stream; BatchEngine (a shard of lanes, via exp::BatchRun) ticks the same
+// control in pairs on a cohort's shared draws, handing a pair's state to the
+// store and back at each boundary. Every job of a manifest must come out of
+// both bit for bit. Jobs are laid out the way FleetRunner::run_shard lays out
+// a shard -- each non-default job followed by its fault-free default twin on
+// the same seed -- so the batch side ticks each job and its twin as one
+// lockstep pair.
 
 #include <gtest/gtest.h>
 

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "magus/common/error.hpp"
+#include "magus/exp/experiment.hpp"
 #include "magus/sim/batch_engine.hpp"
 #include "magus/sim/engine.hpp"
+#include "magus/telemetry/registry.hpp"
 #include "magus/wl/patterns.hpp"
+#include "sim_result_fields.hpp"
 
 namespace ms = magus::sim;
 namespace mw = magus::wl;
@@ -16,6 +20,10 @@ mw::PhaseProgram simple_program(double duration = 2.0, double demand = 20'000.0)
   return mw::PhaseProgram(
       "test", {mw::patterns::steady("p", duration, demand, 0.3, 0.1, 0.5)});
 }
+
+struct PolicyFault : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 }  // namespace
 
 TEST(SimEngine, RunsToCompletion) {
@@ -169,4 +177,70 @@ TEST(SimEngine, MultiPhaseProgramsAdvance) {
   const auto& ts = engine.recorder().series(magus::trace::channel::kMemThroughput);
   EXPECT_GT(ts.max_value(), 80'000.0);
   EXPECT_LT(ts.min_value(), 20'000.0);
+}
+
+TEST(SimEngine, PolicyThrowKeepsItsType) {
+  // The lane run catches a policy's throw (so a BatchEngine lane fails
+  // alone); SimEngine::run rethrows it, so its caller still sees the type
+  // and value that were thrown. A run that throws is not counted.
+  magus::telemetry::MetricsRegistry reg;
+  const auto run = [&reg](const ms::PolicyHook& hook) {
+    ms::SimEngine engine(ms::intel_a100(), simple_program());
+    engine.attach_telemetry(reg);
+    engine.run(hook);
+  };
+  ms::PolicyHook at_start;
+  at_start.on_start = [](magus::common::Seconds) { throw PolicyFault("at start"); };
+  ms::PolicyHook mid_run;
+  mid_run.on_sample = [](magus::common::Seconds now) {
+    if (now.value() > 1.0) throw PolicyFault("mid-run");
+  };
+  ms::PolicyHook non_standard;
+  non_standard.on_sample = [](magus::common::Seconds) { throw 7; };
+
+  for (const ms::PolicyHook* hook : {&at_start, &mid_run}) {
+    try {
+      run(*hook);
+      ADD_FAILURE() << "run() returned";
+    } catch (const PolicyFault& e) {
+      EXPECT_STREQ(e.what(), hook == &at_start ? "at start" : "mid-run");
+    }
+  }
+  try {
+    run(non_standard);
+    ADD_FAILURE() << "run() returned";
+  } catch (int thrown) {
+    EXPECT_EQ(thrown, 7);
+  }
+  EXPECT_EQ(reg.counter("magus_sim_runs_total")->value(), 0u);
+
+  run(ms::PolicyHook{});
+  EXPECT_EQ(reg.counter("magus_sim_runs_total")->value(), 1u);
+}
+
+TEST(SimEngine, TracingDoesNotPerturbResults) {
+  // The trace recorder observes each tick and never feeds it: MAGUS on a
+  // multi-phase program gives the same result, field for field, traced or
+  // not, on one die and on two NUMA-skewed dies.
+  const mw::PhaseProgram program(
+      "waves", mw::patterns::square_wave(4, 0.6, 90'000.0, 0.6, 8'000.0, 0.7, 0.6));
+  for (const int dies : {1, 2}) {
+    SCOPED_TRACE(dies);
+    ms::SystemSpec system = ms::intel_a100();
+    system.cpu.dies_per_socket = dies;
+    system.numa_skew = dies > 1 ? 0.3 : 0.0;
+    const auto run = [&](bool traced) {
+      magus::exp::RunOptions opts;
+      opts.engine.record_traces = traced;
+      return magus::exp::run_policy(system, program, "magus", opts);
+    };
+    const magus::exp::RunOutput traced = run(true);
+    const magus::exp::RunOutput untraced = run(false);
+    EXPECT_FALSE(traced.traces.channels().empty());
+    EXPECT_TRUE(untraced.traces.channels().empty());
+    EXPECT_GT(traced.result.invocations, 0u);
+    EXPECT_EQ(traced.result.domain_uncore_energy_j.size(), static_cast<std::size_t>(2 * dies));
+    EXPECT_EQ(magus::test::result_fields(traced.result),
+              magus::test::result_fields(untraced.result));
+  }
 }

@@ -127,7 +127,7 @@ TEST(KernelWidth, PairTickEqualsTwoSingleTicks) {
     const ms::SystemSpec spec = random_system(g);
     // Lanes 0 and 1 tick as a pair; lanes 2 and 3 are their width-1 twins.
     ms::LaneStore store;
-    for (int i = 0; i < 4; ++i) store.add_lane(spec, 1);
+    for (int i = 0; i < 4; ++i) store.add_lane(spec);
     const mk::NodeParams& p = store.params(0);
 
     // Random history: both twins of a lane see the same warm-up ticks, the

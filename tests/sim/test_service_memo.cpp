@@ -258,8 +258,8 @@ TEST(ServiceMemo, WidthOneTicksAsIfEveryTickMissed) {
     // Lane 0 ticks with its memo, lane 1 with its keys forgotten each tick.
     ms::LaneStore store;
     const ms::SystemSpec spec = random_system(g);
-    store.add_lane(spec, 1);
-    store.add_lane(spec, 1);
+    store.add_lane(spec);
+    store.add_lane(spec);
     const mk::NodeParams& p = store.params(0);
     Inputs in;
     in.slice = random_slice(g, p);
@@ -288,7 +288,7 @@ TEST(ServiceMemo, WidthTwoTicksAsIfEveryTickMissed) {
     // one; a slot handed to the store ticks there at width 1.
     ms::LaneStore store;
     const ms::SystemSpec spec = random_system(g);
-    for (int i = 0; i < 4; ++i) store.add_lane(spec, 1);
+    for (int i = 0; i < 4; ++i) store.add_lane(spec);
     const mk::NodeParams& p = store.params(0);
     ms::LanePair memo(p);
     ms::LanePair fresh(p);
@@ -352,7 +352,7 @@ namespace {
 /// values. A memo keyed on a per-tick value would recompute them instead.
 void check_steady_reuse(const ms::SystemSpec& spec) {
   ms::LaneStore store;
-  store.add_lane(spec, 1);
+  store.add_lane(spec);
   const mk::NodeParams& p = store.params(0);
   const ms::WorkSlice slice{0.5 * p.uncore.peak_mem_bw_mbps, 0.6, 0.4, 0.7};
   for (int t = 0; t < 50; ++t) {
@@ -370,8 +370,8 @@ void check_steady_reuse(const ms::SystemSpec& spec) {
 
   // The same through the two-wide kernel.
   ms::LaneStore pair_store;
-  pair_store.add_lane(spec, 1);
-  pair_store.add_lane(spec, 2);
+  pair_store.add_lane(spec);
+  pair_store.add_lane(spec);
   ms::LanePair pair(p);
   pair_store.load(pair, 0, 0);
   pair_store.load(pair, 1, 1);
