@@ -12,6 +12,7 @@
 
 #include "magus/common/error.hpp"
 #include "magus/hw/linux_backend.hpp"
+#include "magus/hw/sysfs_uncore.hpp"
 #include "magus/hw/uncore_freq.hpp"
 
 int main() {
@@ -51,10 +52,11 @@ int main() {
 
   if (caps.uncore_freq_sysfs) {
     try {
-      hw::SysfsUncoreFreq uncore;
-      for (int p = 0; p < uncore.package_count(); ++p) {
-        std::cout << "uncore package " << p << ": max " << uncore.max_ghz(p)
-                  << " GHz\n";
+      hw::SysfsUncoreDomainSet uncore;
+      for (int d = 0; d < uncore.domain_count(); ++d) {
+        std::cout << "uncore " << hw::to_string(uncore.domain_id(d)) << ": max "
+                  << uncore.max_ghz(d).value() << " GHz, current "
+                  << uncore.current_ghz(d).value() << " GHz\n";
       }
     } catch (const common::Error& e) {
       std::cout << "uncore sysfs access failed: " << e.what() << "\n";

@@ -38,7 +38,6 @@ struct CompPowConfig {
   double leak_w = 5.0;
   double k1_w_per_ghz = 2.0;
   double k2_w_per_ghz2 = 13.0;
-  bool scaling_enabled = true;
 };
 
 class CompPowController final : public core::IPolicy {

@@ -36,7 +36,6 @@ struct DeadlineConfig {
   /// Relearn capacity only when delivered/predicted-capacity exceeds this
   /// (observations below saturation say nothing about the ceiling).
   double saturation_util = 0.90;
-  bool scaling_enabled = true;
 };
 
 class DeadlineController final : public core::IPolicy {

@@ -29,7 +29,6 @@ struct DufConfig {
   /// Capacity model: deliverable MB/s per GHz of uncore (the controller's
   /// internal estimate; DUF calibrates this once per platform).
   double capacity_mbps_per_ghz = 72'000.0;
-  bool scaling_enabled = true;
 };
 
 class DufController final : public core::IPolicy {

@@ -36,7 +36,6 @@ struct EcoShiftConfig {
   /// Capacity model: deliverable MB/s per GHz of uncore (same calibrated
   /// constant the DUF baseline carries).
   double capacity_mbps_per_ghz = 72'000.0;
-  bool scaling_enabled = true;
 };
 
 class EcoShiftController final : public core::IPolicy {

@@ -52,7 +52,6 @@ class FaultyMemThroughputCounter final : public hw::IMemThroughputCounter {
   [[nodiscard]] double total_mb() override;
   /// Per-domain reads share the node's fault schedule (one op index stream)
   /// but replay stale values per domain.
-  [[nodiscard]] int domain_count() override { return inner_.domain_count(); }
   [[nodiscard]] double domain_mb(int domain) override;
 
  private:

@@ -19,10 +19,6 @@ class IMemThroughputCounter {
   /// throughput as delta/interval, like PCM's before/after counter states.
   [[nodiscard]] virtual double total_mb() = 0;
 
-  /// Uncore domains this counter can resolve traffic to. Counters that only
-  /// see the node aggregate report 1 (the default).
-  [[nodiscard]] virtual int domain_count() { return 1; }
-
   /// Cumulative MB attributed to one domain. The single-domain default
   /// delegates to total_mb(), so reading "domain 0" of an aggregate counter
   /// costs exactly one sweep, same as the legacy path.
@@ -40,17 +36,6 @@ class IEnergyCounter {
   [[nodiscard]] virtual int socket_count() const = 0;
   [[nodiscard]] virtual double pkg_energy_j(int socket) = 0;
   [[nodiscard]] virtual double dram_energy_j(int socket) = 0;
-};
-
-/// NVML / oneAPI-style GPU board power + energy.
-class IGpuPowerSensor {
- public:
-  virtual ~IGpuPowerSensor() = default;
-
-  [[nodiscard]] virtual int gpu_count() const = 0;
-  [[nodiscard]] virtual double power_w(int gpu) = 0;
-  /// Cumulative board energy in joules since an arbitrary epoch.
-  [[nodiscard]] virtual double energy_j(int gpu) = 0;
 };
 
 /// Per-core fixed counters (instructions retired / unhalted cycles), as read

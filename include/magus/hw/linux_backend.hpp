@@ -3,19 +3,18 @@
 //
 // These bind the hw interfaces to the kernel facilities a physical Xeon node
 // exposes: /dev/cpu/*/msr (msr module), the powercap intel-rapl sysfs tree,
-// and the intel_uncore_frequency sysfs driver. Everything probes before use
-// and throws common::CapabilityError when the facility is absent, so the
-// library degrades gracefully inside containers and on non-Intel machines
-// (where the simulator backend is used instead).
+// and the intel_uncore_frequency sysfs driver (SysfsUncoreDomainSet, in
+// hw/sysfs_uncore.hpp). Everything probes before use and throws
+// common::CapabilityError when the facility is absent, so the library
+// degrades gracefully inside containers and on non-Intel machines (where the
+// simulator backend is used instead).
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "magus/hw/counters.hpp"
 #include "magus/hw/msr.hpp"
 #include "magus/hw/rapl.hpp"
-#include "magus/hw/sysfs_uncore.hpp"
 
 namespace magus::hw {
 
@@ -64,22 +63,6 @@ class PowercapEnergyCounter final : public IEnergyCounter {
     std::string dram_path;  // may be empty when the zone lacks a dram child
   };
   std::vector<Zone> zones_;
-};
-
-/// Uncore frequency limits via the intel_uncore_frequency sysfs driver.
-/// An alternative to raw MSR writes on kernels that ship the driver.
-/// Package-granular legacy view; SysfsUncoreDomainSet (hw/sysfs_uncore.hpp)
-/// is the per-(package, die) domain interface.
-class SysfsUncoreFreq {
- public:
-  explicit SysfsUncoreFreq(std::string root = uncore_freq_sysfs_root());
-
-  [[nodiscard]] int package_count() const;
-  [[nodiscard]] double max_ghz(int package) const;
-  void set_max_ghz(int package, double ghz);
-
- private:
-  std::vector<std::string> package_dirs_;
 };
 
 }  // namespace magus::hw

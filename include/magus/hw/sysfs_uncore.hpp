@@ -31,7 +31,8 @@ namespace magus::hw {
 /// Discovery scans `root` for `package_XX_die_YY` directories and orders
 /// domains by (package, die). Construction throws common::CapabilityError
 /// when the root is missing or holds no domain directories; attribute reads
-/// and writes throw common::DeviceError on missing or corrupt files.
+/// and writes throw common::DeviceError on missing or corrupt files. The
+/// readbacks below are plain members: policies only write the max clamp.
 class SysfsUncoreDomainSet final : public IUncoreDomainSet {
  public:
   explicit SysfsUncoreDomainSet(std::string root = uncore_freq_sysfs_root());
@@ -39,18 +40,18 @@ class SysfsUncoreDomainSet final : public IUncoreDomainSet {
   [[nodiscard]] int domain_count() const override {
     return static_cast<int>(domains_.size());
   }
-  [[nodiscard]] DomainId domain_id(int domain) const override;
+  void write_max_ghz(int domain, common::Ghz freq) override;
 
-  [[nodiscard]] common::Ghz min_ghz(int domain) override;
-  [[nodiscard]] common::Ghz max_ghz(int domain) override;
-  [[nodiscard]] common::Ghz current_ghz(int domain) override;
+  [[nodiscard]] DomainId domain_id(int domain) const;
+
+  /// Currently programmed min/max clamps and the live frequency.
+  [[nodiscard]] common::Ghz min_ghz(int domain);
+  [[nodiscard]] common::Ghz max_ghz(int domain);
+  [[nodiscard]] common::Ghz current_ghz(int domain);
 
   /// Silicon limits the driver captured at module load (read-only files).
   [[nodiscard]] common::Ghz initial_min_ghz(int domain);
   [[nodiscard]] common::Ghz initial_max_ghz(int domain);
-
-  void write_max_ghz(int domain, common::Ghz freq) override;
-  void write_min_ghz(int domain, common::Ghz freq) override;
 
   /// Sysfs directory backing a domain (diagnostics / tests).
   [[nodiscard]] const std::string& domain_dir(int domain) const;
@@ -63,7 +64,6 @@ class SysfsUncoreDomainSet final : public IUncoreDomainSet {
 
   [[nodiscard]] const Domain& domain_at(int domain) const;
   [[nodiscard]] common::Ghz read_khz_attr(int domain, const char* attr);
-  void write_khz_attr(int domain, const char* attr, common::Ghz freq);
 
   std::vector<Domain> domains_;
 };

@@ -4,14 +4,13 @@
 // Real Xeon servers expose one uncore clock per (package, die) pair -- a
 // single domain per socket on Ice Lake SP, several on multi-die Sapphire
 // Rapids parts -- through the intel_uncore_frequency sysfs driver. This
-// header defines the domain identity and the `IUncoreDomainSet` interface
-// policies program against, the MSR-backed adapter that presents the
-// whole-node 0x620 path as a one-domain set, and `UncoreDomains`, the one
-// place a policy learns whether it controls the whole node or each domain.
+// header defines the domain identity, the `IUncoreDomainSet` interface a
+// multi-domain backend implements, and `UncoreDomains`, the one place a
+// policy learns whether it controls the whole node (MSR 0x620) or each
+// domain of a set.
 //
-// Implementations: MsrDomainSet (below), SysfsUncoreDomainSet
-// (hw/sysfs_uncore.hpp) and the simulator's LaneUncoreDomainSet
-// (sim/backends.hpp).
+// Implementations: SysfsUncoreDomainSet (hw/sysfs_uncore.hpp) and the
+// simulator's LaneUncoreDomainSet (sim/backends.hpp).
 
 #include <cstddef>
 #include <string>
@@ -40,75 +39,25 @@ struct DomainId {
 /// "package_00_die_01" -- the sysfs directory spelling of a DomainId.
 [[nodiscard]] std::string to_string(const DomainId& id);
 
-/// A set of independently programmable uncore frequency domains. Domains are
-/// indexed 0..domain_count()-1 in (package, die) lexicographic order. Reads
-/// and writes may touch hardware and throw common::DeviceError; writes clamp
-/// to what the silicon supports.
+/// A set of independently programmable uncore frequency domains, indexed
+/// 0..domain_count()-1 in (package, die) lexicographic order. The max clamp
+/// is the one knob every policy turns; writes may touch hardware and throw
+/// common::DeviceError, and clamp to what the silicon supports.
 class IUncoreDomainSet {
  public:
   virtual ~IUncoreDomainSet() = default;
 
   [[nodiscard]] virtual int domain_count() const = 0;
-  [[nodiscard]] virtual DomainId domain_id(int domain) const = 0;
-
-  /// Currently programmed min/max frequency clamps.
-  [[nodiscard]] virtual common::Ghz min_ghz(int domain) = 0;
-  [[nodiscard]] virtual common::Ghz max_ghz(int domain) = 0;
-
-  /// Live uncore frequency right now (perf-status style readback).
-  [[nodiscard]] virtual common::Ghz current_ghz(int domain) = 0;
-
   virtual void write_max_ghz(int domain, common::Ghz freq) = 0;
-  virtual void write_min_ghz(int domain, common::Ghz freq) = 0;
-};
-
-/// MSR 0x620 adapter: one logical domain spanning every socket, so the
-/// paper's whole-node controller is the one-domain case. Max-limit
-/// writes delegate to UncoreFreqController (same read/decode/skip-if-already
-/// -programmed/encode/write sequence and therefore the same access counts);
-/// min-limit writes rewrite the MIN_RATIO field with the same discipline.
-class MsrDomainSet final : public IUncoreDomainSet {
- public:
-  MsrDomainSet(IMsrDevice& msr, UncoreFreqLadder ladder);
-
-  [[nodiscard]] int domain_count() const override { return 1; }
-  [[nodiscard]] DomainId domain_id(int domain) const override;
-
-  [[nodiscard]] common::Ghz min_ghz(int domain) override;
-  [[nodiscard]] common::Ghz max_ghz(int domain) override;
-  [[nodiscard]] common::Ghz current_ghz(int domain) override;
-
-  void write_max_ghz(int domain, common::Ghz freq) override;
-  void write_min_ghz(int domain, common::Ghz freq) override;
-
-  [[nodiscard]] const UncoreFreqLadder& ladder() const noexcept { return ctl_.ladder(); }
-
-  /// MSR writes performed through this set (for overhead accounting).
-  [[nodiscard]] unsigned long long write_count() const noexcept {
-    return ctl_.write_count() + min_writes_;
-  }
-
-  /// Best-effort max-limit write of `freq` to every socket, one try each:
-  /// unlike write_max_ghz, a failing socket does not stop the sweep.
-  void try_write_max_ghz_each_socket(common::Ghz freq);
-
-  /// Mirror max-limit writes into `magus_hw_msr_writes_total` on `reg`.
-  void attach_telemetry(telemetry::MetricsRegistry& reg) { ctl_.attach_telemetry(reg); }
-
- private:
-  void check_domain(int domain) const;
-
-  IMsrDevice& msr_;
-  UncoreFreqController ctl_;
-  unsigned long long min_writes_ = 0;
 };
 
 /// The uncore domains one policy controls. A set with more than one domain
 /// is controlled domain by domain; anything else (no set, or a one-domain
-/// set) makes the whole node domain 0 of an MsrDomainSet over the policy's
-/// own MSR device, so a single-domain run keeps the paper's MSR 0x620 access
-/// sequence. Every policy runs one loop over `size()` domains and asks this
-/// type, not the set, how to read and write them.
+/// set) makes the whole node one domain, written as one MSR 0x620 burst
+/// over every socket of the policy's own MSR device, so a single-domain run
+/// keeps the paper's access sequence. Every policy runs one loop over
+/// `size()` domains and asks this type, not the set, how to read and write
+/// them.
 class UncoreDomains {
  public:
   UncoreDomains(IUncoreDomainSet* domains, IMsrDevice& msr, const UncoreFreqLadder& ladder);
@@ -116,7 +65,7 @@ class UncoreDomains {
   UncoreDomains& operator=(const UncoreDomains&) = delete;
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool whole_node() const noexcept { return set_ == &node_; }
+  [[nodiscard]] bool whole_node() const noexcept { return set_ == nullptr; }
   [[nodiscard]] const UncoreFreqLadder& ladder() const noexcept { return node_.ladder(); }
 
   /// Cumulative MB of one domain: the whole node reads the aggregate
@@ -128,7 +77,11 @@ class UncoreDomains {
   void read_all_mb(IMemThroughputCounter& counter, std::vector<double>& out) const;
 
   void write_max_ghz(std::size_t domain, common::Ghz freq) {
-    set_->write_max_ghz(static_cast<int>(domain), freq);
+    if (set_ != nullptr) {
+      set_->write_max_ghz(static_cast<int>(domain), freq);
+    } else {
+      node_.set_max_ghz_all(freq.value());
+    }
   }
   /// write_max_ghz on every domain, in index order.
   void write_all_max_ghz(common::Ghz freq);
@@ -142,8 +95,8 @@ class UncoreDomains {
   void attach_telemetry(telemetry::MetricsRegistry& reg) { node_.attach_telemetry(reg); }
 
  private:
-  MsrDomainSet node_;
-  IUncoreDomainSet* set_;
+  UncoreFreqController node_;
+  IUncoreDomainSet* set_;  ///< null: the whole node
   std::size_t size_;
 };
 

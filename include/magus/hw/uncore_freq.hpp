@@ -71,6 +71,7 @@ class UncoreFreqController {
   [[nodiscard]] UncoreRatioLimit read_limit(int socket);
 
   [[nodiscard]] const UncoreFreqLadder& ladder() const noexcept { return ladder_; }
+  [[nodiscard]] int socket_count() const { return msr_.socket_count(); }
 
   /// Number of MSR writes performed (for overhead accounting).
   [[nodiscard]] unsigned long long write_count() const noexcept { return writes_; }

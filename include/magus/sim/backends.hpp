@@ -61,7 +61,6 @@ class LaneMemThroughputCounter final : public hw::IMemThroughputCounter, LaneRef
   using LaneRef::LaneRef;
 
   [[nodiscard]] double total_mb() override;
-  [[nodiscard]] int domain_count() override;
   [[nodiscard]] double domain_mb(int domain) override;
 };
 
@@ -73,15 +72,7 @@ class LaneUncoreDomainSet final : public hw::IUncoreDomainSet, LaneRef {
   using LaneRef::LaneRef;
 
   [[nodiscard]] int domain_count() const override;
-  [[nodiscard]] hw::DomainId domain_id(int domain) const override;
-  [[nodiscard]] common::Ghz min_ghz(int domain) override;
-  [[nodiscard]] common::Ghz max_ghz(int domain) override;
-  [[nodiscard]] common::Ghz current_ghz(int domain) override;
   void write_max_ghz(int domain, common::Ghz freq) override;
-  void write_min_ghz(int domain, common::Ghz freq) override;
-
- private:
-  void check_domain(int domain) const;
 };
 
 /// RAPL-style energy counters (one MSR read per query).
@@ -92,19 +83,6 @@ class LaneEnergyCounter final : public hw::IEnergyCounter, LaneRef {
   [[nodiscard]] int socket_count() const override;
   [[nodiscard]] double pkg_energy_j(int socket) override;
   [[nodiscard]] double dram_energy_j(int socket) override;
-};
-
-/// NVML-style GPU board power/energy (does not count as MSR traffic).
-class LaneGpuPowerSensor final : public hw::IGpuPowerSensor, LaneRef {
- public:
-  using LaneRef::LaneRef;
-
-  [[nodiscard]] int gpu_count() const override;
-  [[nodiscard]] double power_w(int gpu) override;
-  [[nodiscard]] double energy_j(int gpu) override;
-
- private:
-  void check_gpu(int gpu) const;
 };
 
 /// Per-core fixed counters (two MSR reads per core per sample for UPS).
@@ -120,20 +98,18 @@ class LaneCoreCounters final : public hw::ICoreCounters, LaneRef {
   void check_core(int core) const;
 };
 
-/// The six backends of one lane -- what an engine hands a policy.
+/// The five backends of one lane -- what an engine hands a policy.
 struct LaneBackends {
   LaneBackends(LaneStore& store, std::size_t lane)
       : msr(store, lane),
         mem(store, lane),
         energy(store, lane),
-        gpu(store, lane),
         cores(store, lane),
         domains(store, lane) {}
 
   LaneMsrDevice msr;
   LaneMemThroughputCounter mem;
   LaneEnergyCounter energy;
-  LaneGpuPowerSensor gpu;
   LaneCoreCounters cores;
   LaneUncoreDomainSet domains;
 };

@@ -237,7 +237,6 @@ class SimEngine {
   [[nodiscard]] hw::IMsrDevice& msr() noexcept { return hw_.msr; }
   [[nodiscard]] hw::IMemThroughputCounter& mem_counter() noexcept { return hw_.mem; }
   [[nodiscard]] hw::IEnergyCounter& energy_counter() noexcept { return hw_.energy; }
-  [[nodiscard]] hw::IGpuPowerSensor& gpu_sensor() noexcept { return hw_.gpu; }
   [[nodiscard]] hw::ICoreCounters& core_counters() noexcept { return hw_.cores; }
   [[nodiscard]] hw::IUncoreDomainSet& domains() noexcept { return hw_.domains; }
 

@@ -43,7 +43,7 @@ void CompPowController::prime(common::Seconds now) {
 }
 
 void CompPowController::on_start(common::Seconds now) {
-  if (cfg_.scaling_enabled && cap_.active()) {
+  if (cap_.active()) {
     domains_.write_all_max_ghz(common::Ghz(domains_.ladder().max_ghz()));
   }
   prime(now);
@@ -98,7 +98,7 @@ void CompPowController::on_sample(common::Seconds now) {
     const common::Ghz next{ladder.clamp_ghz(fit_ghz(budget_d * domains_per_socket))};
     if (next != target_[d]) {
       target_[d] = next;
-      if (cfg_.scaling_enabled) domains_.write_max_ghz(d, next);
+      domains_.write_max_ghz(d, next);
     }
   }
 }

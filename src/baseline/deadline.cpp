@@ -32,7 +32,7 @@ void DeadlineController::prime(common::Seconds now) {
 }
 
 void DeadlineController::on_start(common::Seconds now) {
-  if (cfg_.scaling_enabled) domains_.write_all_max_ghz(common::Ghz(domains_.ladder().max_ghz()));
+  domains_.write_all_max_ghz(common::Ghz(domains_.ladder().max_ghz()));
   prime(now);
 }
 
@@ -75,7 +75,7 @@ void DeadlineController::on_sample(common::Seconds now) {
     const common::Ghz next{select_ghz(common::Mbps(needed), select_coef)};
     if (next != target_[d]) {
       target_[d] = next;
-      if (cfg_.scaling_enabled) domains_.write_max_ghz(d, next);
+      domains_.write_max_ghz(d, next);
     }
   }
 }

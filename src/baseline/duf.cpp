@@ -21,7 +21,7 @@ void DufController::prime(common::Seconds now) {
 }
 
 void DufController::on_start(common::Seconds now) {
-  if (cfg_.scaling_enabled) domains_.write_all_max_ghz(common::Ghz(domains_.ladder().max_ghz()));
+  domains_.write_all_max_ghz(common::Ghz(domains_.ladder().max_ghz()));
   prime(now);
 }
 
@@ -57,7 +57,7 @@ void DufController::on_sample(common::Seconds now) {
     }
     if (next != target_[d]) {
       target_[d] = next;
-      if (cfg_.scaling_enabled) domains_.write_max_ghz(d, next);
+      domains_.write_max_ghz(d, next);
     }
   }
   last_util_ = util_sum / static_cast<double>(n);

@@ -46,7 +46,7 @@ void EcoShiftController::prime(common::Seconds now) {
 }
 
 void EcoShiftController::on_start(common::Seconds now) {
-  if (cfg_.scaling_enabled && cap_.active()) {
+  if (cap_.active()) {
     domains_.write_all_max_ghz(common::Ghz(domains_.ladder().max_ghz()));
   }
   prime(now);
@@ -90,7 +90,7 @@ void EcoShiftController::on_sample(common::Seconds now) {
     }
     if (victim < n) {
       target_[victim] = common::Ghz(ladder.step_down(target_[victim].value()));
-      if (cfg_.scaling_enabled) domains_.write_max_ghz(victim, target_[victim]);
+      domains_.write_max_ghz(victim, target_[victim]);
     }
   } else if (last_power_w_ < cap_w * (1.0 - cfg_.headroom_frac)) {
     // Recover where it buys the most: the most-utilised domain above the
@@ -104,7 +104,7 @@ void EcoShiftController::on_sample(common::Seconds now) {
     }
     if (winner < n) {
       target_[winner] = common::Ghz(ladder.step_up(target_[winner].value()));
-      if (cfg_.scaling_enabled) domains_.write_max_ghz(winner, target_[winner]);
+      domains_.write_max_ghz(winner, target_[winner]);
     }
   }
 }

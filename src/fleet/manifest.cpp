@@ -10,7 +10,6 @@
 #include "magus/common/error.hpp"
 #include "magus/common/parse.hpp"
 #include "magus/core/policy_factory.hpp"
-#include "magus/exp/experiment_config.hpp"
 #include "magus/sim/kernel.hpp"
 #include "magus/sim/system_preset.hpp"
 #include "magus/telemetry/event_log.hpp"
@@ -326,21 +325,3 @@ FleetManifest synth_fleet(int nodes, std::uint64_t seed) {
 }
 
 }  // namespace magus::fleet
-
-namespace magus::exp {
-
-fleet::NodeSpec ExperimentConfig::to_node_spec(int count) const {
-  fleet::NodeSpec node;
-  node.name(name)
-      .system(system)
-      .app(app)
-      .policy(policy)
-      .gpus(gpus)
-      .static_uncore(static_ghz)
-      .dies(dies)
-      .numa_skew(numa_skew)
-      .count(count);
-  return node;
-}
-
-}  // namespace magus::exp

@@ -3,17 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "magus/common/error.hpp"
-#include "magus/common/units.hpp"
+#include "magus/hw/sysfs_uncore.hpp"
 
 namespace fs = std::filesystem;
 
@@ -31,13 +28,6 @@ namespace {
 
 [[nodiscard]] long long read_ll_file(const std::string& path) {
   return std::stoll(read_text_file(path));
-}
-
-void write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream os(path);
-  if (!os) throw common::DeviceError("cannot open " + path + " for write");
-  os << text;
-  if (!os) throw common::DeviceError("short write to " + path);
 }
 
 }  // namespace
@@ -146,43 +136,6 @@ double PowercapEnergyCounter::dram_energy_j(int socket) {
   const auto& zone = zones_[static_cast<std::size_t>(socket)];
   if (zone.dram_path.empty()) return 0.0;
   return static_cast<double>(read_ll_file(zone.dram_path)) * 1e-6;
-}
-
-SysfsUncoreFreq::SysfsUncoreFreq(std::string root) {
-  const fs::path base(root);
-  if (!fs::exists(base)) {
-    throw common::CapabilityError("intel_uncore_frequency driver missing: " + root);
-  }
-  for (const auto& entry : fs::directory_iterator(base)) {
-    if (entry.is_directory() &&
-        entry.path().filename().string().rfind("package_", 0) == 0) {
-      package_dirs_.push_back(entry.path().string());
-    }
-  }
-  std::sort(package_dirs_.begin(), package_dirs_.end());
-  if (package_dirs_.empty()) {
-    throw common::CapabilityError("no package dirs under " + root);
-  }
-}
-
-int SysfsUncoreFreq::package_count() const { return static_cast<int>(package_dirs_.size()); }
-
-double SysfsUncoreFreq::max_ghz(int package) const {
-  if (package < 0 || package >= package_count()) {
-    throw common::ConfigError("SysfsUncoreFreq: package out of range");
-  }
-  const std::string& dir = package_dirs_[static_cast<std::size_t>(package)];
-  const long long khz = read_ll_file(dir + "/max_freq_khz");
-  return common::to_ghz(common::Khz(static_cast<double>(khz))).value();
-}
-
-void SysfsUncoreFreq::set_max_ghz(int package, double ghz) {
-  if (package < 0 || package >= package_count()) {
-    throw common::ConfigError("SysfsUncoreFreq: package out of range");
-  }
-  const long long khz = std::llround(common::to_khz(common::Ghz(ghz)).value());
-  const std::string& dir = package_dirs_[static_cast<std::size_t>(package)];
-  write_text_file(dir + "/max_freq_khz", std::to_string(khz));
 }
 
 }  // namespace magus::hw

@@ -106,13 +106,6 @@ common::Ghz SysfsUncoreDomainSet::read_khz_attr(int domain, const char* attr) {
   return common::to_ghz(common::Khz(static_cast<double>(khz)));
 }
 
-void SysfsUncoreDomainSet::write_khz_attr(int domain, const char* attr,
-                                          common::Ghz freq) {
-  const std::string path = domain_at(domain).dir + "/" + attr;
-  const long long khz = std::llround(common::to_khz(freq).value());
-  write_line(path, std::to_string(khz));
-}
-
 common::Ghz SysfsUncoreDomainSet::min_ghz(int domain) {
   return read_khz_attr(domain, "min_freq_khz");
 }
@@ -134,11 +127,8 @@ common::Ghz SysfsUncoreDomainSet::initial_max_ghz(int domain) {
 }
 
 void SysfsUncoreDomainSet::write_max_ghz(int domain, common::Ghz freq) {
-  write_khz_attr(domain, "max_freq_khz", freq);
-}
-
-void SysfsUncoreDomainSet::write_min_ghz(int domain, common::Ghz freq) {
-  write_khz_attr(domain, "min_freq_khz", freq);
+  const long long khz = std::llround(common::to_khz(freq).value());
+  write_line(domain_at(domain).dir + "/max_freq_khz", std::to_string(khz));
 }
 
 }  // namespace magus::hw

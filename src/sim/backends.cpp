@@ -78,10 +78,8 @@ double LaneMemThroughputCounter::total_mb() {
   return store_->traffic_mb(lane_);
 }
 
-int LaneMemThroughputCounter::domain_count() { return store_->params(lane_).domains(); }
-
 double LaneMemThroughputCounter::domain_mb(int domain) {
-  if (domain < 0 || domain >= domain_count()) {
+  if (domain < 0 || domain >= store_->params(lane_).domains()) {
     throw common::ConfigError("LaneMemThroughputCounter: domain out of range");
   }
   ++store_->meter(lane_).pcm_reads;
@@ -92,38 +90,10 @@ double LaneMemThroughputCounter::domain_mb(int domain) {
 
 int LaneUncoreDomainSet::domain_count() const { return store_->params(lane_).domains(); }
 
-void LaneUncoreDomainSet::check_domain(int domain) const {
+void LaneUncoreDomainSet::write_max_ghz(int domain, common::Ghz freq) {
   if (domain < 0 || domain >= domain_count()) {
     throw common::ConfigError("LaneUncoreDomainSet: domain out of range");
   }
-}
-
-hw::DomainId LaneUncoreDomainSet::domain_id(int domain) const {
-  check_domain(domain);
-  const int dies = store_->params(lane_).dies_per_socket;
-  return hw::DomainId{domain / dies, domain % dies};
-}
-
-common::Ghz LaneUncoreDomainSet::min_ghz(int domain) {
-  check_domain(domain);
-  ++store_->meter(lane_).msr_reads;
-  return common::Ghz(store_->params(lane_).ladder.min_ghz());
-}
-
-common::Ghz LaneUncoreDomainSet::max_ghz(int domain) {
-  check_domain(domain);
-  ++store_->meter(lane_).msr_reads;
-  return common::Ghz(store_->uncore(lane_, domain).policy_limit_ghz);
-}
-
-common::Ghz LaneUncoreDomainSet::current_ghz(int domain) {
-  check_domain(domain);
-  ++store_->meter(lane_).msr_reads;
-  return common::Ghz(store_->uncore(lane_, domain).freq_ghz);
-}
-
-void LaneUncoreDomainSet::write_max_ghz(int domain, common::Ghz freq) {
-  check_domain(domain);
   // Same access discipline as UncoreFreqController: read back the
   // programmed limit, skip the write when it is already in place.
   ++store_->meter(lane_).msr_reads;
@@ -133,13 +103,6 @@ void LaneUncoreDomainSet::write_max_ghz(int domain, common::Ghz freq) {
   if (st.policy_limit_ghz == target) return;
   kern::uncore_set_policy_limit(st, ladder, target);
   ++store_->meter(lane_).msr_writes;
-}
-
-void LaneUncoreDomainSet::write_min_ghz(int domain, common::Ghz freq) {
-  check_domain(domain);
-  (void)freq;
-  // The sim kernel models no min clamp; the ladder floor is the min.
-  throw common::CapabilityError("LaneUncoreDomainSet: min clamp not modelled");
 }
 
 // --- RAPL energy -----------------------------------------------------------
@@ -154,26 +117,6 @@ double LaneEnergyCounter::pkg_energy_j(int socket) {
 double LaneEnergyCounter::dram_energy_j(int socket) {
   ++store_->meter(lane_).msr_reads;
   return store_->dram_energy_j(lane_, socket);
-}
-
-// --- GPU boards ------------------------------------------------------------
-
-int LaneGpuPowerSensor::gpu_count() const { return store_->params(lane_).gpu.count; }
-
-void LaneGpuPowerSensor::check_gpu(int gpu) const {
-  if (gpu < 0 || gpu >= gpu_count()) {
-    throw common::ConfigError("LaneGpuPowerSensor: gpu out of range");
-  }
-}
-
-double LaneGpuPowerSensor::power_w(int gpu) {
-  check_gpu(gpu);
-  return store_->gpu(lane_).power_w / gpu_count();
-}
-
-double LaneGpuPowerSensor::energy_j(int gpu) {
-  check_gpu(gpu);
-  return store_->gpu(lane_).energy_j / gpu_count();
 }
 
 // --- per-core fixed counters -----------------------------------------------

@@ -148,17 +148,6 @@ TEST(CompPow, BusyTrafficEarnsALargerShare) {
   EXPECT_GT(busy.ctl.current_target().value(), quiet.ctl.current_target().value());
 }
 
-TEST(CompPow, DryRunNeverWrites) {
-  mb::CompPowConfig cfg;
-  cfg.scaling_enabled = false;
-  Rig rig(mw::PhaseProgram(
-              "quiet", {mw::patterns::steady("q", 4.0, kQuietMbps, 0.15, 0.1, 0.6)}),
-          fixed_cap(100.0), cfg);
-  const auto r = rig.run();
-  EXPECT_EQ(r.accesses.msr_writes, 0ull);
-  EXPECT_LT(rig.ctl.current_target().value(), 2.2);
-}
-
 TEST(CompPow, PerDomainBudgetsFollowTheTrafficSplit) {
   // NUMA skew concentrates traffic on each socket's first die; its budget
   // share (and so its fitted frequency) must be >= the quiet sibling's.

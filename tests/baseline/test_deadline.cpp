@@ -102,18 +102,6 @@ TEST(Deadline, RelearnsCapacityNearSaturation) {
   EXPECT_GT(rig.ctl.learned_capacity_mbps_per_ghz(), 40'000.0);
 }
 
-TEST(Deadline, DryRunNeverWrites) {
-  mb::DeadlineConfig cfg;
-  cfg.scaling_enabled = false;
-  Rig rig(mw::PhaseProgram(
-              "quiet", {mw::patterns::steady("q", 4.0, kQuietMbps, 0.15, 0.1, 0.6)}),
-          cfg);
-  const auto r = rig.run();
-  EXPECT_EQ(r.accesses.msr_writes, 0ull);
-  // Selection still happens against the shadow target.
-  EXPECT_LT(rig.ctl.current_target().value(), 2.2);
-}
-
 TEST(Deadline, PerDomainSelectionFollowsTheTrafficSplit) {
   // NUMA skew pins extra demand on each socket's first die: that domain
   // must be provisioned at least as high as its quiet sibling.

@@ -68,16 +68,6 @@ TEST(Duf, SingleCounterLikeMagus) {
   EXPECT_NEAR(r.avg_invocation_s(), 0.1, 0.02);
 }
 
-TEST(Duf, DryRunNeverWrites) {
-  mb::DufConfig cfg;
-  cfg.scaling_enabled = false;
-  Rig rig(mw::PhaseProgram("quiet",
-                           {mw::patterns::steady("q", 4.0, 8'000.0, 0.15, 0.1, 0.6)}),
-          cfg);
-  const auto r = rig.run();
-  EXPECT_EQ(r.accesses.msr_writes, 0ull);
-}
-
 TEST(Duf, GradualDescentIsSlowerThanMagusDrop) {
   // Both see the same falling edge; MAGUS goes straight to the floor, DUF
   // walks one ratio per period -- the design contrast the paper draws in

@@ -114,17 +114,6 @@ TEST(EcoShift, HoldsLowWhenIdleDespiteHeadroom) {
   EXPECT_LT(rig.eco.last_utilization(), 0.55);
 }
 
-TEST(EcoShift, DryRunNeverWrites) {
-  mb::EcoShiftConfig cfg;
-  cfg.scaling_enabled = false;
-  Rig rig(busy(4.0), fixed_cap(50.0), cfg);
-  const auto r = rig.run();
-  EXPECT_EQ(r.accesses.msr_writes, 0ull);
-  // The decision loop still runs: the shadow target drops even though no
-  // write ever lands.
-  EXPECT_LT(rig.eco.current_target().value(), 2.2);
-}
-
 TEST(EcoShift, PerDomainModeShedsTheLeastUtilisedDomainFirst)
 {
   // 2 dies/socket with NUMA skew pinning extra traffic on each socket's

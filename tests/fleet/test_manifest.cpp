@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "magus/common/error.hpp"
-#include "magus/exp/experiment_config.hpp"
 #include "magus/fleet/manifest.hpp"
 
 namespace mf = magus::fleet;
@@ -303,21 +302,4 @@ TEST(SynthFleet, DeterministicAndValid) {
   // A different seed yields a different mix.
   EXPECT_NE(mf::synth_fleet(64, 8).to_jsonl(), a.to_jsonl());
   EXPECT_THROW((void)mf::synth_fleet(0, 7), magus::common::ConfigError);
-}
-
-TEST(ExperimentConfig, ToNodeSpecAdapter) {
-  magus::exp::ExperimentConfig cfg;
-  cfg.name = "exp1";
-  cfg.system = "amd_mi250";
-  cfg.app = "kmeans";
-  cfg.policy = "duf";
-  cfg.gpus = 2;
-  const mf::NodeSpec node = cfg.to_node_spec(5);
-  EXPECT_EQ(node.name(), "exp1");
-  EXPECT_EQ(node.system(), "amd_mi250");
-  EXPECT_EQ(node.app(), "kmeans");
-  EXPECT_EQ(node.policy(), "duf");
-  EXPECT_EQ(node.gpus(), 2);
-  EXPECT_EQ(node.count(), 5);
-  EXPECT_TRUE(node.validate().empty());
 }

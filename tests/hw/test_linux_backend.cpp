@@ -37,7 +37,6 @@ class FakeTree : public ::testing::Test {
 };
 
 using PowercapTest = FakeTree;
-using SysfsUncoreTest = FakeTree;
 
 }  // namespace
 
@@ -95,27 +94,4 @@ TEST_F(PowercapTest, SocketOutOfRangeThrows) {
   mh::PowercapEnergyCounter rapl(root_.string());
   EXPECT_THROW((void)rapl.pkg_energy_j(5), mc::ConfigError);
   EXPECT_THROW((void)rapl.dram_energy_j(-1), mc::ConfigError);
-}
-
-TEST_F(SysfsUncoreTest, MissingDriverIsCapabilityError) {
-  EXPECT_THROW(mh::SysfsUncoreFreq((root_ / "nope").string()), mc::CapabilityError);
-}
-
-TEST_F(SysfsUncoreTest, ReadsAndWritesMaxFreq) {
-  write_file("package_00_die_00/max_freq_khz", "2200000\n");
-  write_file("package_01_die_00/max_freq_khz", "2200000\n");
-
-  mh::SysfsUncoreFreq uncore(root_.string());
-  EXPECT_EQ(uncore.package_count(), 2);
-  EXPECT_NEAR(uncore.max_ghz(0), 2.2, 1e-9);
-
-  uncore.set_max_ghz(1, 1.5);
-  EXPECT_NEAR(uncore.max_ghz(1), 1.5, 1e-9);
-}
-
-TEST_F(SysfsUncoreTest, PackageOutOfRangeThrows) {
-  write_file("package_00_die_00/max_freq_khz", "2200000\n");
-  mh::SysfsUncoreFreq uncore(root_.string());
-  EXPECT_THROW((void)uncore.max_ghz(3), mc::ConfigError);
-  EXPECT_THROW(uncore.set_max_ghz(3, 1.0), mc::ConfigError);
 }

@@ -1,9 +1,8 @@
 // SysfsUncoreDomainSet against a generated fake intel_uncore_frequency tree
-// (no hardware): discovery and ordering, kHz attribute parsing, min/max clamp
-// write round-trips, and the missing/corrupt attribute error paths. Plus the
-// MsrDomainSet adapter that presents the whole-node MSR 0x620 path as a
-// one-domain set, and UncoreDomains, which picks between the two for a
-// policy.
+// (no hardware): discovery and ordering, kHz attribute parsing, max clamp
+// write round-trips, and the missing/corrupt attribute error paths. Plus
+// UncoreDomains, which picks between the whole-node MSR 0x620 path and a
+// domain set for a policy.
 
 #include <gtest/gtest.h>
 
@@ -116,14 +115,12 @@ TEST(SysfsUncoreDomainSet, WriteClampsRoundTripThroughTheTree) {
 
   mh::SysfsUncoreDomainSet set(tree.root());
   set.write_max_ghz(1, mc::Ghz(1.5));
-  set.write_min_ghz(1, mc::Ghz(1.0));
 
   // Reads go back through the files, so this checks the on-disk integers.
   EXPECT_DOUBLE_EQ(set.max_ghz(1).value(), 1.5);
-  EXPECT_DOUBLE_EQ(set.min_ghz(1).value(), 1.0);
-  // Sibling domain untouched.
+  // The min clamp and the sibling domain are untouched.
+  EXPECT_DOUBLE_EQ(set.min_ghz(1).value(), 0.8);
   EXPECT_DOUBLE_EQ(set.max_ghz(0).value(), 2.2);
-  EXPECT_DOUBLE_EQ(set.min_ghz(0).value(), 0.8);
 
   // The attribute file itself holds a bare integer kHz count.
   std::ifstream is(set.domain_dir(1) + "/max_freq_khz");
@@ -184,10 +181,6 @@ class FakeMsr final : public mh::IMsrDevice {
     regs_[key(socket, reg)] = value;
   }
 
-  void preload(int socket, std::uint32_t reg, std::uint64_t value) {
-    regs_[key(socket, reg)] = value;
-  }
-
   int reads = 0;
   int writes = 0;
 
@@ -199,53 +192,15 @@ class FakeMsr final : public mh::IMsrDevice {
   std::map<std::uint64_t, std::uint64_t> regs_;
 };
 
-}  // namespace
-
-TEST(MsrDomainSet, IsADegenerateOneDomainSet) {
-  FakeMsr msr(2);
-  mh::MsrDomainSet set(msr, mh::UncoreFreqLadder(0.8, 2.2));
-  EXPECT_EQ(set.domain_count(), 1);
-  EXPECT_EQ(set.domain_id(0), (mh::DomainId{0, 0}));
-  EXPECT_THROW((void)set.domain_id(1), mc::ConfigError);
-  EXPECT_THROW(set.write_max_ghz(1, mc::Ghz(1.0)), mc::ConfigError);
-}
-
-TEST(MsrDomainSet, ReadsAndWritesThroughMsr0x620) {
-  FakeMsr msr(2);
-  // MAX_RATIO bits 6:0, MIN_RATIO bits 14:8 (0x16 = 2.2 GHz, 0x08 = 0.8 GHz).
-  for (int s = 0; s < 2; ++s) msr.preload(s, 0x620, (0x08ull << 8) | 0x16ull);
-  msr.preload(0, 0x621, 0x0Eull);  // current ratio 14 -> 1.4 GHz
-
-  mh::MsrDomainSet set(msr, mh::UncoreFreqLadder(0.8, 2.2));
-  EXPECT_DOUBLE_EQ(set.max_ghz(0).value(), 2.2);
-  EXPECT_DOUBLE_EQ(set.min_ghz(0).value(), 0.8);
-  EXPECT_DOUBLE_EQ(set.current_ghz(0).value(), 1.4);
-
-  // One logical domain spans every socket, exactly like the legacy path.
-  set.write_max_ghz(0, mc::Ghz(1.5));
-  EXPECT_EQ(msr.writes, 2);
-  EXPECT_DOUBLE_EQ(set.max_ghz(0).value(), 1.5);
-
-  set.write_min_ghz(0, mc::Ghz(1.0));
-  EXPECT_EQ(msr.writes, 4);
-  EXPECT_DOUBLE_EQ(set.min_ghz(0).value(), 1.0);
-  EXPECT_EQ(set.write_count(), 4ull);
-
-  // Re-programming the already-programmed limits skips the MSR writes (the
-  // same read/decode/skip discipline as UncoreFreqController).
-  set.write_max_ghz(0, mc::Ghz(1.5));
-  set.write_min_ghz(0, mc::Ghz(1.0));
-  EXPECT_EQ(msr.writes, 4);
-}
-
-namespace {
-
 /// Aggregate counter 1000 MB; domain d reports 100 + d MB.
 class SplitCounter final : public mh::IMemThroughputCounter {
  public:
-  double total_mb() override { return 1'000.0; }
-  int domain_count() override { return 4; }
+  double total_mb() override {
+    ++total_reads;
+    return 1'000.0;
+  }
   double domain_mb(int domain) override { return 100.0 + domain; }
+  int total_reads = 0;
 };
 
 /// FakeMsr whose writes to one socket always fail.
@@ -267,22 +222,31 @@ class DeadSocketMsr final : public mh::IMsrDevice {
 }  // namespace
 
 TEST(UncoreDomains, NoSetOrOneDomainIsTheWholeNode) {
-  FakeMsr msr(2);
+  FakeTree tree("uncore_one_domain");
+  tree.add_domain(0, 0, 800'000, 2'200'000, 1'200'000);
+  mh::SysfsUncoreDomainSet one(tree.root());
+  ASSERT_EQ(one.domain_count(), 1);
   const mh::UncoreFreqLadder ladder(0.8, 2.2);
-  SplitCounter counter;
-  mh::MsrDomainSet one(msr, ladder);
   for (mh::IUncoreDomainSet* set : {static_cast<mh::IUncoreDomainSet*>(nullptr),
                                     static_cast<mh::IUncoreDomainSet*>(&one)}) {
+    FakeMsr msr(2);
+    SplitCounter counter;
     mh::UncoreDomains domains(set, msr, ladder);
     ASSERT_EQ(domains.size(), 1u);
     EXPECT_TRUE(domains.whole_node());
-    // The whole node reads the aggregate counter, never a domain share.
+    // The whole node makes one aggregate counter read, never a domain share.
     EXPECT_DOUBLE_EQ(domains.read_mb(counter, 0), 1'000.0);
+    EXPECT_EQ(counter.total_reads, 1);
+    // Writes are one 0x620 burst over both sockets; a repeat finds the limit
+    // already programmed and writes nothing.
+    domains.write_max_ghz(0, mc::Ghz(1.5));
+    EXPECT_EQ(msr.writes, 2);
+    domains.write_max_ghz(0, mc::Ghz(1.5));
+    EXPECT_EQ(msr.writes, 2);
+    EXPECT_EQ(msr.reads, 4);
   }
-  // Writes are one 0x620 burst over both sockets.
-  mh::UncoreDomains domains(nullptr, msr, ladder);
-  domains.write_max_ghz(0, mc::Ghz(1.5));
-  EXPECT_EQ(msr.writes, 2);
+  // The one-domain set itself is never written.
+  EXPECT_DOUBLE_EQ(one.max_ghz(0).value(), 2.2);
 }
 
 TEST(UncoreDomains, AMultiDomainSetIsControlledPerDomain) {

@@ -75,15 +75,6 @@ TEST(SimCounters, EnergyCounterMatchesNode) {
   EXPECT_EQ(rig.energy.socket_count(), 2);
 }
 
-TEST(SimCounters, GpuSensorSplitsBoards) {
-  ms::NodeModel node(ms::intel_4a100(), 1);
-  ms::LaneGpuPowerSensor gpu(node.store(), 0);
-  for (int i = 0; i < 100; ++i) node.tick(mc::Seconds(i * 0.002), 0.002, {}, 0.0);
-  EXPECT_EQ(gpu.gpu_count(), 4);
-  EXPECT_NEAR(gpu.power_w(0) * 4.0, node.gpu().power_w, 1e-9);
-  EXPECT_THROW((void)gpu.power_w(4), magus::common::ConfigError);
-}
-
 TEST(SimCounters, CoreIndexValidation) {
   Rig rig;
   EXPECT_EQ(rig.cores.core_count(), 80);

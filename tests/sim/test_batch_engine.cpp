@@ -87,9 +87,10 @@ ms::PolicyHook hook_of(Hook kind, ms::LaneBackends& hw) {
       break;
     case Hook::kThrottle:
       hook.name = "throttle";
-      hook.on_sample = [&hw](mc::Seconds) {
-        const double f = hw.domains.current_ghz(0).value();
-        hw.domains.write_max_ghz(0, mc::Ghz(std::max(0.8, f - 0.1)));
+      // Steps its own target down 0.1 GHz a sample from 2.2 GHz to 0.8 GHz.
+      hook.on_sample = [&hw, target = 2.2](mc::Seconds) mutable {
+        target = std::max(0.8, target - 0.1);
+        hw.domains.write_max_ghz(0, mc::Ghz(target));
       };
       break;
     case Hook::kThrowAtStart:
