@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "magus/baseline/constants.hpp"
 #include "magus/common/quantity.hpp"
 #include "magus/core/policy.hpp"
 #include "magus/core/power_cap.hpp"
@@ -23,22 +24,6 @@
 #include "magus/hw/uncore_freq.hpp"
 
 namespace magus::baseline {
-
-struct CompPowConfig {
-  common::Seconds period{0.2};
-  /// Uncore share of the node cap: share_min at zero memory utilisation,
-  /// sliding linearly to share_max at full utilisation.
-  double uncore_share_min = 0.10;
-  double uncore_share_max = 0.35;
-  /// Capacity model for the utilisation signal (MB/s per GHz, as DUF).
-  double capacity_mbps_per_ghz = 72'000.0;
-  /// Internal uncore power model, per frequency domain:
-  /// P(f) = leak_w + k1_w_per_ghz * f + k2_w_per_ghz2 * f^2. Defaults mirror
-  /// the Intel presets' per-socket coefficients.
-  double leak_w = 5.0;
-  double k1_w_per_ghz = 2.0;
-  double k2_w_per_ghz2 = 13.0;
-};
 
 class CompPowController final : public core::IPolicy {
  public:
@@ -49,12 +34,12 @@ class CompPowController final : public core::IPolicy {
   /// whole node is the one domain (hw::UncoreDomains).
   CompPowController(hw::IMemThroughputCounter& mem_counter,
                     hw::IEnergyCounter& energy_counter, hw::IMsrDevice& msr,
-                    const hw::UncoreFreqLadder& ladder, CompPowConfig cfg = {},
+                    const hw::UncoreFreqLadder& ladder,
                     const core::PowerCapSchedule* cap = nullptr,
                     hw::IUncoreDomainSet* domains = nullptr);
 
   [[nodiscard]] std::string name() const override { return "comppow"; }
-  [[nodiscard]] double period_s() const override { return cfg_.period.value(); }
+  [[nodiscard]] double period_s() const override { return kPeriodS; }
 
   void on_start(common::Seconds now) override;
   void on_sample(common::Seconds now) override;
@@ -83,7 +68,6 @@ class CompPowController final : public core::IPolicy {
   hw::IMemThroughputCounter& mem_counter_;
   hw::IEnergyCounter& energy_counter_;
   hw::UncoreDomains domains_;
-  CompPowConfig cfg_;
   core::PowerCapSchedule cap_;
 
   bool primed_ = false;

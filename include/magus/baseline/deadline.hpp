@@ -7,7 +7,7 @@
 // online from delivered-throughput observations whenever the link runs near
 // saturation) and an EWMA demand predictor, then *selects* -- every period,
 // from scratch -- the lowest ladder frequency whose predicted capacity keeps
-// the memory-induced slowdown inside the configured bound. That is the
+// the memory-induced slowdown inside a fixed 5 % bound. That is the
 // data-driven trade: it converges in one period where DUF takes
 // steps-per-ladder, but it trusts its model where DUF trusts only the last
 // sample.
@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "magus/baseline/constants.hpp"
 #include "magus/common/quantity.hpp"
 #include "magus/core/policy.hpp"
 #include "magus/hw/counters.hpp"
@@ -23,21 +24,6 @@
 
 namespace magus::baseline {
 
-struct DeadlineConfig {
-  common::Seconds period{0.2};
-  /// Allowed runtime stretch vs a never-throttled run, in percent. The
-  /// controller provisions capacity >= demand / (1 + bound/100): progress
-  /// gated on memory stretches by at most that factor.
-  double slowdown_bound_pct = 5.0;
-  /// Initial capacity model (MB/s per GHz); relearnt online.
-  double capacity_mbps_per_ghz = 72'000.0;
-  /// EWMA weight for both the demand predictor and capacity relearning.
-  double learn_rate = 0.25;
-  /// Relearn capacity only when delivered/predicted-capacity exceeds this
-  /// (observations below saturation say nothing about the ceiling).
-  double saturation_util = 0.90;
-};
-
 class DeadlineController final : public core::IPolicy {
  public:
   /// `domains` (optional): more than one domain makes the controller
@@ -45,11 +31,11 @@ class DeadlineController final : public core::IPolicy {
   /// share of the capacity model. Otherwise the whole node is the one domain
   /// (hw::UncoreDomains).
   DeadlineController(hw::IMemThroughputCounter& mem_counter, hw::IMsrDevice& msr,
-                     const hw::UncoreFreqLadder& ladder, DeadlineConfig cfg = {},
+                     const hw::UncoreFreqLadder& ladder,
                      hw::IUncoreDomainSet* domains = nullptr);
 
   [[nodiscard]] std::string name() const override { return "deadline"; }
-  [[nodiscard]] double period_s() const override { return cfg_.period.value(); }
+  [[nodiscard]] double period_s() const override { return kPeriodS; }
 
   void on_start(common::Seconds now) override;
   void on_sample(common::Seconds now) override;
@@ -81,11 +67,10 @@ class DeadlineController final : public core::IPolicy {
 
   hw::IMemThroughputCounter& mem_counter_;
   hw::UncoreDomains domains_;
-  DeadlineConfig cfg_;
 
   bool primed_ = false;
   double prev_t_ = 0.0;
-  double capacity_coef_ = 0.0;        ///< learned node MB/s per GHz
+  double capacity_coef_ = kCapacityMbpsPerGhz;  ///< learned node MB/s per GHz
   std::vector<double> prev_mb_;       ///< per-domain cumulative baseline
   std::vector<double> demand_mbps_;   ///< per-domain EWMA demand predictor
   std::vector<common::Ghz> target_;   ///< per-domain target

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "magus/baseline/constants.hpp"
 #include "magus/common/quantity.hpp"
 #include "magus/core/policy.hpp"
 #include "magus/hw/counters.hpp"
@@ -22,27 +23,17 @@
 
 namespace magus::baseline {
 
-struct DufConfig {
-  common::Seconds period{0.2};
-  double low_util = 0.40;   ///< below: step the uncore down one ratio
-  double high_util = 0.80;  ///< above: jump back to max
-  /// Capacity model: deliverable MB/s per GHz of uncore (the controller's
-  /// internal estimate; DUF calibrates this once per platform).
-  double capacity_mbps_per_ghz = 72'000.0;
-};
-
 class DufController final : public core::IPolicy {
  public:
   /// `domains` (optional): a set exposing more than one domain makes DUF
   /// walk each domain independently, its utilisation measured against its
-  /// share of the calibrated capacity (capacity_mbps_per_ghz / domains).
+  /// share of the calibrated capacity (kCapacityMbpsPerGhz / domains).
   /// Otherwise the whole node is the one domain (hw::UncoreDomains).
   DufController(hw::IMemThroughputCounter& mem_counter, hw::IMsrDevice& msr,
-                const hw::UncoreFreqLadder& ladder, DufConfig cfg = {},
-                hw::IUncoreDomainSet* domains = nullptr);
+                const hw::UncoreFreqLadder& ladder, hw::IUncoreDomainSet* domains = nullptr);
 
   [[nodiscard]] std::string name() const override { return "duf"; }
-  [[nodiscard]] double period_s() const override { return cfg_.period.value(); }
+  [[nodiscard]] double period_s() const override { return kPeriodS; }
 
   void on_start(common::Seconds now) override;
   void on_sample(common::Seconds now) override;
@@ -59,7 +50,6 @@ class DufController final : public core::IPolicy {
 
   hw::IMemThroughputCounter& mem_counter_;
   hw::UncoreDomains domains_;
-  DufConfig cfg_;
   bool primed_ = false;
   double prev_t_ = 0.0;
   double last_util_ = 0.0;

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "magus/baseline/constants.hpp"
 #include "magus/common/quantity.hpp"
 #include "magus/core/policy.hpp"
 #include "magus/core/power_cap.hpp"
@@ -24,19 +25,6 @@
 #include "magus/hw/uncore_freq.hpp"
 
 namespace magus::baseline {
-
-struct EcoShiftConfig {
-  common::Seconds period{0.2};
-  /// Step back up only when measured power sits this fraction under the cap
-  /// (guards against limit-cycling on the cap boundary).
-  double headroom_frac = 0.08;
-  /// Utilisation gate for restoring frequency: below this the recovered
-  /// headroom would be wasted on an idle uncore, so the target holds.
-  double restore_util = 0.55;
-  /// Capacity model: deliverable MB/s per GHz of uncore (same calibrated
-  /// constant the DUF baseline carries).
-  double capacity_mbps_per_ghz = 72'000.0;
-};
 
 class EcoShiftController final : public core::IPolicy {
  public:
@@ -48,12 +36,12 @@ class EcoShiftController final : public core::IPolicy {
   /// (hw::UncoreDomains).
   EcoShiftController(hw::IMemThroughputCounter& mem_counter,
                      hw::IEnergyCounter& energy_counter, hw::IMsrDevice& msr,
-                     const hw::UncoreFreqLadder& ladder, EcoShiftConfig cfg = {},
+                     const hw::UncoreFreqLadder& ladder,
                      const core::PowerCapSchedule* cap = nullptr,
                      hw::IUncoreDomainSet* domains = nullptr);
 
   [[nodiscard]] std::string name() const override { return "ecoshift"; }
-  [[nodiscard]] double period_s() const override { return cfg_.period.value(); }
+  [[nodiscard]] double period_s() const override { return kPeriodS; }
 
   void on_start(common::Seconds now) override;
   void on_sample(common::Seconds now) override;
@@ -78,7 +66,6 @@ class EcoShiftController final : public core::IPolicy {
   hw::IMemThroughputCounter& mem_counter_;
   hw::IEnergyCounter& energy_counter_;
   hw::UncoreDomains domains_;
-  EcoShiftConfig cfg_;
   core::PowerCapSchedule cap_;
 
   bool primed_ = false;

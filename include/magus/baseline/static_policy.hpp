@@ -6,6 +6,7 @@
 // kern::firmware_update reproduces that). StaticUncorePolicy pins the uncore
 // once at launch; its min/max instantiations are the two ends of Fig. 2.
 
+#include "magus/baseline/constants.hpp"
 #include "magus/common/quantity.hpp"
 #include "magus/core/policy.hpp"
 #include "magus/hw/uncore_freq.hpp"
@@ -16,7 +17,7 @@ namespace magus::baseline {
 class DefaultPolicy final : public core::IPolicy {
  public:
   [[nodiscard]] std::string name() const override { return "default"; }
-  [[nodiscard]] double period_s() const override { return 0.2; }
+  [[nodiscard]] double period_s() const override { return kPeriodS; }
   void on_sample(common::Seconds now) override { (void)now; }
 };
 
@@ -30,7 +31,7 @@ class StaticUncorePolicy final : public core::IPolicy {
   [[nodiscard]] std::string name() const override {
     return "static_" + std::to_string(target_.value());
   }
-  [[nodiscard]] double period_s() const override { return 0.2; }
+  [[nodiscard]] double period_s() const override { return kPeriodS; }
 
   void on_start(common::Seconds now) override {
     (void)now;

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "magus/baseline/constants.hpp"
 #include "magus/common/quantity.hpp"
 #include "magus/core/policy.hpp"
 #include "magus/hw/counters.hpp"
@@ -26,10 +27,7 @@
 namespace magus::baseline {
 
 struct UpsConfig {
-  common::Seconds period{0.2};    ///< same monitoring period as MAGUS
-  double dram_phase_rel = 0.12;   ///< relative DRAM-power swing marking a phase change
-  double ipc_guard = 0.92;        ///< step down while ipc >= guard * phase-best IPC
-  bool scaling_enabled = true;    ///< false = monitor-only (Table 2 protocol)
+  bool scaling_enabled = true;  ///< false = monitor-only (Table 2 protocol)
 };
 
 class UpsController final : public core::IPolicy {
@@ -46,7 +44,7 @@ class UpsController final : public core::IPolicy {
                 hw::IUncoreDomainSet* domains = nullptr);
 
   [[nodiscard]] std::string name() const override { return "ups"; }
-  [[nodiscard]] double period_s() const override { return cfg_.period.value(); }
+  [[nodiscard]] double period_s() const override { return kPeriodS; }
 
   void on_start(common::Seconds now) override;
   void on_sample(common::Seconds now) override;

@@ -23,9 +23,7 @@
 
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <memory>
-#include <type_traits>
 
 namespace magus::telemetry {
 class MetricsRegistry;
@@ -41,8 +39,8 @@ inline constexpr std::size_t kMaxWorkers = 256;
 class ThreadPool {
  public:
   /// Spawns clamp(threads, 1, kMaxWorkers) workers. A 1-thread pool still
-  /// owns one worker (so `submit` works), but `parallel_for_each`
-  /// degenerates to a plain serial loop on the calling thread.
+  /// owns one worker, but `parallel_for_each` degenerates to a plain serial
+  /// loop on the calling thread.
   explicit ThreadPool(std::size_t threads);
   ~ThreadPool();
 
@@ -51,16 +49,6 @@ class ThreadPool {
 
   /// Number of worker threads (>= 1).
   [[nodiscard]] std::size_t size() const noexcept;
-
-  /// Enqueue a nullary callable; the future carries its result or exception.
-  template <typename F>
-  [[nodiscard]] auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
-    enqueue([task]() { (*task)(); });
-    return fut;
-  }
 
   /// Register pool instruments on `reg` (magus_pool_workers,
   /// magus_pool_queue_depth, magus_pool_tasks_total,

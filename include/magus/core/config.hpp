@@ -9,6 +9,13 @@
 
 namespace magus::core {
 
+/// Length of the uncore_tune_ls decision window: Algorithm 3 seeds it with
+/// 10 zeros (section 3.3).
+inline constexpr int kTuneWindow = 10;
+
+/// Monitoring cycles before MDFS engages (10 cycles x 0.2 s = 2.0 s).
+inline constexpr int kWarmupCycles = 10;
+
 /// How the runtime behaves when a backend call fails (stale/NaN samples,
 /// MSR -EIO). Defaults favor availability: a few quick retries, then give
 /// the uncore back to firmware rather than fight a dying device. See
@@ -64,13 +71,6 @@ struct MagusConfig {
   /// separate genuine high-frequency fluctuation from isolated bursts.
   int direv_length = 2;
 
-  /// Length of the uncore_tune_ls decision window (Algorithm 3 seeds it
-  /// with this many zeros).
-  int tune_window = 10;
-
-  /// Monitoring cycles before MDFS engages (10 cycles x 0.2 s = 2.0 s).
-  int warmup_cycles = 10;
-
   /// Monitoring period between invocations.
   common::Seconds period{0.2};
 
@@ -96,12 +96,6 @@ struct MagusConfig {
     }
     if (direv_length < 2) {
       throw common::ConfigError("MagusConfig: direv_length must be >= 2");
-    }
-    if (tune_window < 1) {
-      throw common::ConfigError("MagusConfig: tune_window must be >= 1");
-    }
-    if (warmup_cycles < 0) {
-      throw common::ConfigError("MagusConfig: warmup_cycles must be >= 0");
     }
     if (period <= common::Seconds(0.0)) {
       throw common::ConfigError("MagusConfig: period must be positive");

@@ -4,8 +4,8 @@
 // Pure decision logic, decoupled from hardware access: feed it throughput
 // samples, it returns uncore max-frequency targets. Faithful to the paper's
 // pseudocode, including the quirks:
-//   * 10-cycle warm-up: samples are collected, uncore stays at max,
-//     uncore_tune_ls starts as 10 zeros;
+//   * kWarmupCycles (10) of warm-up: samples are collected, uncore stays at
+//     max, uncore_tune_ls starts as kTuneWindow (10) zeros;
 //   * high-frequency detection runs BEFORE this round's prediction and uses
 //     the tune-event history only;
 //   * during high-frequency status the prediction still runs and its
@@ -51,7 +51,7 @@ class MdfsController {
   std::optional<common::Ghz> on_throughput(common::Seconds t, common::Mbps throughput);
 
   [[nodiscard]] bool high_freq_status() const noexcept { return high_freq_status_; }
-  [[nodiscard]] bool warmed_up() const noexcept { return samples_seen_ >= cfg_.warmup_cycles; }
+  [[nodiscard]] bool warmed_up() const noexcept { return samples_seen_ >= kWarmupCycles; }
   [[nodiscard]] const std::vector<DecisionRecord>& log() const noexcept { return log_; }
 
   /// Last issued target (max at start).

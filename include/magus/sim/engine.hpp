@@ -48,17 +48,15 @@ struct PolicyHook {
 
 struct EngineConfig {
   double tick_s = 0.002;
-  double record_dt_s = 0.02;   ///< trace channel sampling
   double max_sim_s = 0.0;      ///< 0 -> auto: 4x nominal duration + 30 s
   std::uint64_t seed = 42;
-  bool record_traces = true;
-  int display_cores = 4;       ///< per-core frequency channels for Fig. 1
+  bool record_traces = true;   ///< trace channels every 0.02 s, 4 core-frequency channels
 };
 
-/// The checks both engines apply to a config at construction: tick_s and
-/// record_dt_s must be finite and positive (a NaN or infinite step would
-/// never advance the clock to a boundary). Throws common::ConfigError naming
-/// the field; `engine` prefixes the message.
+/// The check both engines apply to a config at construction: tick_s must be
+/// finite and positive (a NaN or infinite step would never advance the clock
+/// to a boundary). Throws common::ConfigError naming the field; `engine`
+/// prefixes the message.
 void validate_engine_config(const EngineConfig& cfg, const char* engine);
 
 struct SimResult {

@@ -311,16 +311,9 @@ class NodeModel {
   [[nodiscard]] double total_pkg_energy_j() const { return store_.total_pkg_energy_j(0); }
   [[nodiscard]] double total_dram_energy_j() const { return store_.total_dram_energy_j(0); }
 
-  /// Node-wide deliverable bandwidth at current uncore frequencies.
-  [[nodiscard]] double capacity_mbps() const;
-
-  /// Output of the last NodeModel::tick call.
-  [[nodiscard]] const TickOutput& last() const noexcept { return last_; }
-
  private:
   LaneStore store_;
   common::Rng rng_;
-  TickOutput last_;
 };
 
 }  // namespace magus::sim

@@ -36,8 +36,7 @@ class EventLog {
  public:
   /// Buffers one event line. Takes the buffer mutex, so it is excluded from
   /// lock-free hot-path sections — the runtime emits events before entering
-  /// or after leaving its sample→decide→write core (an SPSC ring for
-  /// in-section emission is a ROADMAP item).
+  /// or after leaving its sample→decide→write core.
   void emit(const Event& e) MAGUS_EXCLUDES(mutex_, common::hot_path_role);
 
   [[nodiscard]] std::size_t size() const MAGUS_EXCLUDES(mutex_);

@@ -6,17 +6,28 @@
 
 namespace magus::baseline {
 
+namespace {
+/// Uncore share of the node cap: kShareMin at zero memory utilisation,
+/// sliding linearly to kShareMax at full utilisation.
+constexpr double kShareMin = 0.10;
+constexpr double kShareMax = 0.35;
+/// Internal uncore power model, per socket:
+/// P(f) = kLeakW + kK1WPerGhz * f + kK2WPerGhz2 * f^2, the Intel presets'
+/// per-socket coefficients.
+constexpr double kLeakW = 5.0;
+constexpr double kK1WPerGhz = 2.0;
+constexpr double kK2WPerGhz2 = 13.0;
+}  // namespace
+
 CompPowController::CompPowController(hw::IMemThroughputCounter& mem_counter,
                                      hw::IEnergyCounter& energy_counter,
                                      hw::IMsrDevice& msr,
                                      const hw::UncoreFreqLadder& ladder,
-                                     CompPowConfig cfg,
                                      const core::PowerCapSchedule* cap,
                                      hw::IUncoreDomainSet* domains)
     : mem_counter_(mem_counter),
       energy_counter_(energy_counter),
       domains_(domains, msr, ladder),
-      cfg_(cfg),
       prev_mb_(domains_.size(), 0.0),
       delivered_(domains_.size(), 0.0),
       target_(domains_.size(), common::Ghz(ladder.max_ghz())) {
@@ -30,7 +41,7 @@ double CompPowController::fit_ghz(double budget_w) const {
   const std::vector<double> freqs = ladder.frequencies();  // ascending
   for (auto it = freqs.rbegin(); it != freqs.rend(); ++it) {
     const double f = *it;
-    const double power = cfg_.leak_w + cfg_.k1_w_per_ghz * f + cfg_.k2_w_per_ghz2 * f * f;
+    const double power = kLeakW + kK1WPerGhz * f + kK2WPerGhz2 * f * f;
     if (power <= budget_w) return f;
   }
   return ladder.min_ghz();
@@ -71,7 +82,7 @@ void CompPowController::on_sample(common::Seconds now) {
   // per-domain loop has always used (RollupGolden.BudgetedComppow pins it).
   const auto& ladder = domains_.ladder();
   const double ref_ghz = domains_.whole_node() ? target_[0].value() : ladder.max_ghz();
-  const double capacity = std::max(1.0, cfg_.capacity_mbps_per_ghz * ref_ghz);
+  const double capacity = std::max(1.0, kCapacityMbpsPerGhz * ref_ghz);
   last_util_ = std::min(1.0, total_delivered / capacity);
 
   const double cap_w = cap_.cap_at(now);
@@ -79,8 +90,7 @@ void CompPowController::on_sample(common::Seconds now) {
 
   // Component split: the uncore earns a utilisation-scaled share of the node
   // cap.
-  const double share =
-      cfg_.uncore_share_min + (cfg_.uncore_share_max - cfg_.uncore_share_min) * last_util_;
+  const double share = kShareMin + (kShareMax - kShareMin) * last_util_;
   last_uncore_budget_w_ = share * cap_w;
 
   // Per-domain budgets: half the uncore share splits evenly (every domain

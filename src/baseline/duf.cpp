@@ -5,12 +5,16 @@
 
 namespace magus::baseline {
 
+namespace {
+constexpr double kLowUtil = 0.40;   ///< below: step the uncore down one ratio
+constexpr double kHighUtil = 0.80;  ///< above: jump back to max
+}  // namespace
+
 DufController::DufController(hw::IMemThroughputCounter& mem_counter, hw::IMsrDevice& msr,
-                             const hw::UncoreFreqLadder& ladder, DufConfig cfg,
+                             const hw::UncoreFreqLadder& ladder,
                              hw::IUncoreDomainSet* domains)
     : mem_counter_(mem_counter),
       domains_(domains, msr, ladder),
-      cfg_(cfg),
       prev_mb_(domains_.size(), 0.0),
       target_(domains_.size(), common::Ghz(ladder.max_ghz())) {}
 
@@ -36,8 +40,7 @@ void DufController::on_sample(common::Seconds now) {
   // Each domain serves only its share of the calibrated node capacity, and
   // its utilisation is relative to what its *current* target can deliver.
   const auto n = target_.size();
-  const double per_domain_mbps_per_ghz =
-      cfg_.capacity_mbps_per_ghz / static_cast<double>(n);
+  const double per_domain_mbps_per_ghz = kCapacityMbpsPerGhz / static_cast<double>(n);
   const auto& ladder = domains_.ladder();
   double util_sum = 0.0;
   for (std::size_t d = 0; d < n; ++d) {
@@ -50,9 +53,9 @@ void DufController::on_sample(common::Seconds now) {
     util_sum += util;
 
     common::Ghz next = target_[d];
-    if (util > cfg_.high_util) {
+    if (util > kHighUtil) {
       next = common::Ghz(ladder.max_ghz());  // bandwidth-starved: give it everything
-    } else if (util < cfg_.low_util) {
+    } else if (util < kLowUtil) {
       next = common::Ghz(ladder.step_down(target_[d].value()));  // over-provisioned: creep down
     }
     if (next != target_[d]) {

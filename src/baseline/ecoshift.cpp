@@ -5,17 +5,24 @@
 
 namespace magus::baseline {
 
+namespace {
+/// Step back up only when measured power sits this fraction under the cap
+/// (guards against limit-cycling on the cap boundary).
+constexpr double kHeadroomFrac = 0.08;
+/// Utilisation gate for restoring frequency: below this the recovered
+/// headroom would be wasted on an idle uncore, so the target holds.
+constexpr double kRestoreUtil = 0.55;
+}  // namespace
+
 EcoShiftController::EcoShiftController(hw::IMemThroughputCounter& mem_counter,
                                        hw::IEnergyCounter& energy_counter,
                                        hw::IMsrDevice& msr,
                                        const hw::UncoreFreqLadder& ladder,
-                                       EcoShiftConfig cfg,
                                        const core::PowerCapSchedule* cap,
                                        hw::IUncoreDomainSet* domains)
     : mem_counter_(mem_counter),
       energy_counter_(energy_counter),
       domains_(domains, msr, ladder),
-      cfg_(cfg),
       prev_mb_(domains_.size(), 0.0),
       util_(domains_.size(), 0.0),
       target_(domains_.size(), common::Ghz(ladder.max_ghz())) {
@@ -64,8 +71,7 @@ void EcoShiftController::on_sample(common::Seconds now) {
   // Per-domain utilisation against each domain's share of the calibrated
   // node capacity; the node-level power verdict picks which domain moves.
   const auto n = target_.size();
-  const double per_domain_mbps_per_ghz =
-      cfg_.capacity_mbps_per_ghz / static_cast<double>(n);
+  const double per_domain_mbps_per_ghz = kCapacityMbpsPerGhz / static_cast<double>(n);
   double util_sum = 0.0;
   for (std::size_t d = 0; d < n; ++d) {
     const double mb = domains_.read_mb(mem_counter_, d);
@@ -92,13 +98,13 @@ void EcoShiftController::on_sample(common::Seconds now) {
       target_[victim] = common::Ghz(ladder.step_down(target_[victim].value()));
       domains_.write_max_ghz(victim, target_[victim]);
     }
-  } else if (last_power_w_ < cap_w * (1.0 - cfg_.headroom_frac)) {
+  } else if (last_power_w_ < cap_w * (1.0 - kHeadroomFrac)) {
     // Recover where it buys the most: the most-utilised domain above the
     // restore gate steps up (a NaN utilisation never passes the gate). Same
     // lowest-index tie break.
     std::size_t winner = n;
     for (std::size_t d = 0; d < n; ++d) {
-      if (!(util_[d] > cfg_.restore_util)) continue;
+      if (!(util_[d] > kRestoreUtil)) continue;
       if (target_[d].value() >= ladder.max_ghz()) continue;
       if (winner == n || util_[d] > util_[winner]) winner = d;
     }

@@ -28,16 +28,16 @@ std::unique_ptr<IPolicy> make_comppow(const PolicyContext& ctx) {
   require_backend(ctx.msr, "comppow", "an MSR device");
   require_backend(ctx.ladder, "comppow", "an uncore frequency ladder");
   return std::make_unique<baseline::CompPowController>(
-      *ctx.mem_counter, *ctx.energy_counter, *ctx.msr, *ctx.ladder, baseline::CompPowConfig{},
-      ctx.power_cap, ctx.domains);
+      *ctx.mem_counter, *ctx.energy_counter, *ctx.msr, *ctx.ladder, ctx.power_cap,
+      ctx.domains);
 }
 
 std::unique_ptr<IPolicy> make_deadline(const PolicyContext& ctx) {
   require_backend(ctx.mem_counter, "deadline", "a memory-throughput counter");
   require_backend(ctx.msr, "deadline", "an MSR device");
   require_backend(ctx.ladder, "deadline", "an uncore frequency ladder");
-  return std::make_unique<baseline::DeadlineController>(
-      *ctx.mem_counter, *ctx.msr, *ctx.ladder, baseline::DeadlineConfig{}, ctx.domains);
+  return std::make_unique<baseline::DeadlineController>(*ctx.mem_counter, *ctx.msr,
+                                                        *ctx.ladder, ctx.domains);
 }
 
 std::unique_ptr<IPolicy> make_default(const PolicyContext&) {
@@ -49,7 +49,7 @@ std::unique_ptr<IPolicy> make_duf(const PolicyContext& ctx) {
   require_backend(ctx.msr, "duf", "an MSR device");
   require_backend(ctx.ladder, "duf", "an uncore frequency ladder");
   return std::make_unique<baseline::DufController>(*ctx.mem_counter, *ctx.msr, *ctx.ladder,
-                                                   baseline::DufConfig{}, ctx.domains);
+                                                   ctx.domains);
 }
 
 std::unique_ptr<IPolicy> make_ecoshift(const PolicyContext& ctx) {
@@ -58,8 +58,8 @@ std::unique_ptr<IPolicy> make_ecoshift(const PolicyContext& ctx) {
   require_backend(ctx.msr, "ecoshift", "an MSR device");
   require_backend(ctx.ladder, "ecoshift", "an uncore frequency ladder");
   return std::make_unique<baseline::EcoShiftController>(
-      *ctx.mem_counter, *ctx.energy_counter, *ctx.msr, *ctx.ladder, baseline::EcoShiftConfig{},
-      ctx.power_cap, ctx.domains);
+      *ctx.mem_counter, *ctx.energy_counter, *ctx.msr, *ctx.ladder, ctx.power_cap,
+      ctx.domains);
 }
 
 std::unique_ptr<IPolicy> make_magus(const PolicyContext& ctx) {

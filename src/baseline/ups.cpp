@@ -7,6 +7,11 @@
 
 namespace magus::baseline {
 
+namespace {
+constexpr double kDramPhaseRel = 0.12;  ///< relative DRAM-power swing marking a phase change
+constexpr double kIpcGuard = 0.92;      ///< step down while ipc >= guard * phase-best IPC
+}  // namespace
+
 UpsController::UpsController(hw::IEnergyCounter& energy, hw::ICoreCounters& cores,
                              hw::IMsrDevice& msr, const hw::UncoreFreqLadder& ladder,
                              UpsConfig cfg, hw::IUncoreDomainSet* domains)
@@ -87,7 +92,7 @@ void UpsController::on_sample(common::Seconds now) {
     const bool phase_change =
         group_phase_ref_w_[g] < 0.0 ||
         std::abs(dram_w - group_phase_ref_w_[g]) >
-            cfg_.dram_phase_rel * std::max(group_phase_ref_w_[g], 1.0);
+            kDramPhaseRel * std::max(group_phase_ref_w_[g], 1.0);
     if (phase_change) {
       ++phase_changes_;
       group_phase_ref_w_[g] = dram_w;
@@ -102,7 +107,7 @@ void UpsController::on_sample(common::Seconds now) {
     // Within a phase: scavenge downward while node IPC holds, back off when
     // it slips.
     const common::Ghz next =
-        last_ipc_ >= cfg_.ipc_guard * group_best_ipc_[g]
+        last_ipc_ >= kIpcGuard * group_best_ipc_[g]
             ? common::Ghz(ladder.step_down(group_target_[g].value()))
             : common::Ghz(ladder.step_up(group_target_[g].value()));
     if (next != group_target_[g]) {

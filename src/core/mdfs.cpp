@@ -10,7 +10,7 @@ MdfsController::MdfsController(const MagusConfig& cfg, common::Ghz uncore_min,
       min_(uncore_min),
       max_(uncore_max),
       mem_window_(static_cast<std::size_t>(cfg.direv_length)),
-      tune_events_(static_cast<std::size_t>(cfg.tune_window), 0),
+      tune_events_(static_cast<std::size_t>(kTuneWindow), 0),
       current_target_(uncore_max),
       temporary_target_(uncore_max) {
   cfg_.validate();
@@ -32,7 +32,7 @@ std::optional<common::Ghz> MdfsController::on_throughput(common::Seconds t,
   rec.derivative = throughput_derivative(mem_window_, cfg_.direv_length);
 
   // Warm-up: collect history only; the uncore was set to max at start.
-  if (samples_seen_ <= cfg_.warmup_cycles) {
+  if (samples_seen_ <= kWarmupCycles) {
     rec.warmup = true;
     log_.push_back(rec);
     return std::nullopt;

@@ -165,17 +165,7 @@ TickOutput NodeModel::tick(common::Seconds now, double dt, const WorkSlice& slic
                            double monitor_extra_w) {
   (void)now;
   const double jitter = rng_.jitter(kern::kTrafficNoiseRel);
-  last_ = store_.tick(0, dt, slice, monitor_extra_w, jitter);
-  return last_;
-}
-
-double NodeModel::capacity_mbps() const {
-  const kern::NodeParams& p = params();
-  double cap = 0.0;
-  for (int d = 0; d < p.domains(); ++d) {
-    cap += kern::uncore_capacity_at(p.die, uncore(d).freq_ghz);
-  }
-  return cap;
+  return store_.tick(0, dt, slice, monitor_extra_w, jitter);
 }
 
 }  // namespace magus::sim

@@ -26,7 +26,7 @@ constexpr double kQuietMbps = 8'000.0;
 
 struct Rig {
   explicit Rig(mw::PhaseProgram program, mc::PowerCapSchedule cap = {},
-               mb::CompPowConfig cfg = {}, bool per_domain = false)
+               bool per_domain = false)
       : engine(
             [&] {
               ms::SystemSpec spec = ms::intel_a100();
@@ -43,8 +43,8 @@ struct Rig {
               return c;
             }()),
         ladder(0.8, 2.2),
-        ctl(engine.mem_counter(), engine.energy_counter(), engine.msr(), ladder, cfg,
-            &cap, per_domain ? &engine.domains() : nullptr) {}
+        ctl(engine.mem_counter(), engine.energy_counter(), engine.msr(), ladder, &cap,
+            per_domain ? &engine.domains() : nullptr) {}
 
   ms::SimResult run() {
     ms::PolicyHook hook;
@@ -153,7 +153,7 @@ TEST(CompPow, PerDomainBudgetsFollowTheTrafficSplit) {
   // share (and so its fitted frequency) must be >= the quiet sibling's.
   Rig rig(mw::PhaseProgram("busy",
                            {mw::patterns::steady("b", 6.0, kBusyMbps, 0.9, 0.6, 0.8)}),
-          fixed_cap(500.0), {}, /*per_domain=*/true);
+          fixed_cap(500.0), /*per_domain=*/true);
   rig.run();
   ASSERT_EQ(rig.ctl.domain_count(), 4);
   EXPECT_GE(rig.ctl.domain_target(0).value(), rig.ctl.domain_target(1).value());
@@ -169,10 +169,9 @@ TEST(CompPow, BackwardsOrNanCounterDeliversNothing) {
   ZeroEnergy energy;
   MemoryMsr msr;
   const magus::hw::UncoreFreqLadder ladder(0.8, 2.2);
-  const mb::CompPowConfig cfg;
   const mc::PowerCapSchedule cap = fixed_cap(400.0);
-  mb::CompPowController ctl(counter, energy, msr, ladder, cfg, &cap);
-  const double floor_w = cfg.uncore_share_min * 400.0;
+  mb::CompPowController ctl(counter, energy, msr, ladder, &cap);
+  const double floor_w = 0.10 * 400.0;  // the uncore's minimum share of the cap
 
   ctl.on_start(magus::common::Seconds(0.0));
   ctl.on_sample(magus::common::Seconds(0.2));  // 5000 MB/s

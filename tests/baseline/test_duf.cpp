@@ -13,7 +13,7 @@ namespace mw = magus::wl;
 namespace {
 
 struct Rig {
-  explicit Rig(mw::PhaseProgram program, mb::DufConfig cfg = {})
+  explicit Rig(mw::PhaseProgram program)
       : engine(ms::intel_a100(), std::move(program),
                [] {
                  ms::EngineConfig c;
@@ -21,7 +21,7 @@ struct Rig {
                  return c;
                }()),
         ladder(0.8, 2.2),
-        duf(engine.mem_counter(), engine.msr(), ladder, cfg) {}
+        duf(engine.mem_counter(), engine.msr(), ladder) {}
 
   ms::SimResult run() {
     ms::PolicyHook hook;

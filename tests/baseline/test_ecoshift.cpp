@@ -31,7 +31,7 @@ mw::PhaseProgram quiet(double seconds) {
 
 struct Rig {
   explicit Rig(mw::PhaseProgram program, mc::PowerCapSchedule cap = {},
-               mb::EcoShiftConfig cfg = {}, bool per_domain = false)
+               bool per_domain = false)
       : engine(
             [&] {
               ms::SystemSpec spec = ms::intel_a100();
@@ -48,8 +48,8 @@ struct Rig {
               return c;
             }()),
         ladder(0.8, 2.2),
-        eco(engine.mem_counter(), engine.energy_counter(), engine.msr(), ladder, cfg,
-            &cap, per_domain ? &engine.domains() : nullptr) {}
+        eco(engine.mem_counter(), engine.energy_counter(), engine.msr(), ladder, &cap,
+            per_domain ? &engine.domains() : nullptr) {}
 
   ms::SimResult run() {
     ms::PolicyHook hook;
@@ -119,7 +119,7 @@ TEST(EcoShift, PerDomainModeShedsTheLeastUtilisedDomainFirst)
   // 2 dies/socket with NUMA skew pinning extra traffic on each socket's
   // first die: domain 1 is the cheapest performance to sell, so under a
   // tight cap it must sit no higher than domain 0.
-  Rig rig(busy(8.0), fixed_cap(50.0), {}, /*per_domain=*/true);
+  Rig rig(busy(8.0), fixed_cap(50.0), /*per_domain=*/true);
   rig.run();
   ASSERT_EQ(rig.eco.domain_count(), 4);
   EXPECT_LE(rig.eco.domain_target(1).value(), rig.eco.domain_target(0).value());

@@ -11,29 +11,6 @@
 
 namespace mc = magus::common;
 
-TEST(ThreadPool, SubmitReturnsFutureValue) {
-  mc::ThreadPool pool(2);
-  auto fut = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(fut.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture) {
-  mc::ThreadPool pool(2);
-  auto fut = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW((void)fut.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ManySubmittedTasksAllComplete) {
-  mc::ThreadPool pool(4);
-  std::atomic<int> sum{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 100; ++i) {
-    futs.push_back(pool.submit([&sum, i] { sum.fetch_add(i); }));
-  }
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(sum.load(), 4950);
-}
-
 // Completion must be ordering-independent: every index runs exactly once,
 // regardless of which worker picks it up or in what order.
 TEST(ThreadPool, ForEachCoversEveryIndexExactlyOnce) {

@@ -38,9 +38,12 @@ TEST(NodeModel, TrafficCounterTracksDelivered) {
 
 TEST(NodeModel, UncoreAtMaxByDefault) {
   auto node = make_node();
-  for (int i = 0; i < 500; ++i) node.tick(mc::Seconds(i * 0.002), 0.002, heavy_slice(), 0.0);
+  ms::TickOutput out;
+  for (int i = 0; i < 500; ++i) {
+    out = node.tick(mc::Seconds(i * 0.002), 0.002, heavy_slice(), 0.0);
+  }
   // GPU-dominant power stays far from TDP -> stock firmware never throttles.
-  EXPECT_DOUBLE_EQ(node.last().uncore_freq_ghz, 2.2);
+  EXPECT_DOUBLE_EQ(out.uncore_freq_ghz, 2.2);
 }
 
 TEST(NodeModel, LowUncoreStretchesHeavyPhases) {
@@ -48,16 +51,21 @@ TEST(NodeModel, LowUncoreStretchesHeavyPhases) {
   for (int s = 0; s < node.socket_count(); ++s) {
     ms::kern::uncore_set_policy_limit(node.uncore(s), node.params().ladder, 0.8);
   }
-  for (int i = 0; i < 500; ++i) node.tick(mc::Seconds(i * 0.002), 0.002, heavy_slice(), 0.0);
-  EXPECT_GT(node.last().stretch, 1.3);
-  EXPECT_LT(node.last().progress_rate, 0.8);
+  ms::TickOutput out;
+  for (int i = 0; i < 500; ++i) {
+    out = node.tick(mc::Seconds(i * 0.002), 0.002, heavy_slice(), 0.0);
+  }
+  EXPECT_GT(out.stretch, 1.3);
+  EXPECT_LT(out.progress_rate, 0.8);
   // Quiet phases are unaffected even at min uncore.
   auto node2 = make_node();
   for (int s = 0; s < node2.socket_count(); ++s) {
     ms::kern::uncore_set_policy_limit(node2.uncore(s), node2.params().ladder, 0.8);
   }
-  for (int i = 0; i < 500; ++i) node2.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
-  EXPECT_DOUBLE_EQ(node2.last().stretch, 1.0);
+  for (int i = 0; i < 500; ++i) {
+    out = node2.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
+  }
+  EXPECT_DOUBLE_EQ(out.stretch, 1.0);
 }
 
 TEST(NodeModel, LowUncoreCutsPackagePower) {
@@ -66,22 +74,26 @@ TEST(NodeModel, LowUncoreCutsPackagePower) {
   for (int s = 0; s < lo.socket_count(); ++s) {
     ms::kern::uncore_set_policy_limit(lo.uncore(s), lo.params().ladder, 0.8);
   }
+  ms::TickOutput lo_out;
+  ms::TickOutput hi_out;
   for (int i = 0; i < 500; ++i) {
-    lo.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
-    hi.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
+    lo_out = lo.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
+    hi_out = hi.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
   }
   // Fig. 2 calibration: tens of watts between the two uncore extremes.
-  EXPECT_GT(hi.last().pkg_power_w - lo.last().pkg_power_w, 40.0);
+  EXPECT_GT(hi_out.pkg_power_w - lo_out.pkg_power_w, 40.0);
 }
 
 TEST(NodeModel, MonitorPowerLandsOnPackage) {
   auto with = make_node();
   auto without = make_node();
+  ms::TickOutput with_out;
+  ms::TickOutput without_out;
   for (int i = 0; i < 100; ++i) {
-    with.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 10.0);
-    without.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
+    with_out = with.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 10.0);
+    without_out = without.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
   }
-  EXPECT_NEAR(with.last().pkg_power_w - without.last().pkg_power_w, 10.0, 0.5);
+  EXPECT_NEAR(with_out.pkg_power_w - without_out.pkg_power_w, 10.0, 0.5);
 }
 
 TEST(NodeModel, DeterministicForSameSeed) {
@@ -96,11 +108,16 @@ TEST(NodeModel, DeterministicForSameSeed) {
 }
 
 TEST(NodeModel, CapacityIsSumOfSockets) {
+  // A fully memory-bound slice far past capacity stretches by exactly
+  // demand / capacity, and capacity is the sum over both sockets.
   auto node = make_node();
+  const ms::WorkSlice flood{1'000'000.0, 1.0, 0.1, 0.5};
+  const ms::TickOutput out = node.tick(mc::Seconds(0.002), 0.002, flood, 0.0);
   const ms::kern::UncoreParams& die = node.params().die;
-  EXPECT_DOUBLE_EQ(node.capacity_mbps(),
-                   ms::kern::uncore_capacity_at(die, node.uncore(0).freq_ghz) +
-                       ms::kern::uncore_capacity_at(die, node.uncore(1).freq_ghz));
+  const double capacity = ms::kern::uncore_capacity_at(die, node.uncore(0).freq_ghz) +
+                          ms::kern::uncore_capacity_at(die, node.uncore(1).freq_ghz);
+  EXPECT_DOUBLE_EQ(out.stretch,
+                   (flood.demand_mbps + ms::kern::kBackgroundTrafficMbps) / capacity);
 }
 
 TEST(NodeModel, PerSocketEnergySymmetricWithoutMonitor) {
@@ -122,7 +139,7 @@ TEST(NodeModel, GovernorsFollowClosedFormAtAnyDt) {
     const double f0 = node.cores().freq_ghz;
     const double c0 = node.gpu().clock_ghz;
     t += dt;
-    node.tick(mc::Seconds(t), dt, slice, 0.0);
+    const ms::TickOutput out = node.tick(mc::Seconds(t), dt, slice, 0.0);
 
     const double span = spec.cpu.core_max_ghz - spec.cpu.core_min_ghz;
     const double core_target =
@@ -130,7 +147,7 @@ TEST(NodeModel, GovernorsFollowClosedFormAtAnyDt) {
     const double core_alpha = 1.0 - std::exp(-dt / ms::kern::kCoreGovernorTau);
     EXPECT_EQ(node.cores().freq_ghz, f0 + (core_target - f0) * core_alpha) << "dt=" << dt;
 
-    const double util = std::clamp(slice.gpu_util / node.last().stretch, 0.0, 1.0);
+    const double util = std::clamp(slice.gpu_util / out.stretch, 0.0, 1.0);
     const double boost = std::pow(util, 0.7);
     const double gpu_target =
         spec.gpu.base_clock_ghz + (spec.gpu.max_clock_ghz - spec.gpu.base_clock_ghz) * boost;
